@@ -6,6 +6,8 @@
 // pre-event-loop transport (one blocking thread per accepted connection,
 // one send(2) per frame); the event-loop rewrite is expected to beat it by
 // >= 1.5x at 64+ connections on the same machine.
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -44,43 +46,49 @@ class PipelinedClient {
 
   void Run(uint64_t deadline_us) {
     deadline_us_ = deadline_us;
+    {
+      MutexLock lock(mu_);
+      in_flight_ = window_;
+    }
     for (uint32_t i = 0; i < window_; ++i) Issue();
   }
 
-  // Blocks until every in-flight call has resolved.
+  // Blocks until every in-flight call has resolved. Bounded: a stalled
+  // transport aborts the bench with the count still in flight instead of
+  // hanging it.
   void Drain() {
     MutexLock lock(mu_);
-    cv_.Wait(mu_, [this]() REQUIRES(mu_) { return in_flight_ == 0; });
+    const bool drained =
+        cv_.WaitFor(mu_, std::chrono::seconds(60),
+                    [this]() REQUIRES(mu_) { return in_flight_ == 0; });
+    DPR_CHECK_MSG(drained,
+                  "bench_net stalled: %llu calls in flight after 60 s "
+                  "(issued %llu, completed %llu)",
+                  static_cast<unsigned long long>(in_flight_),
+                  static_cast<unsigned long long>(issued_.load()),
+                  static_cast<unsigned long long>(completed_.load()));
   }
 
-  uint64_t completed() const { return completed_; }
-  uint64_t errors() const { return errors_; }
+  uint64_t completed() const { return completed_.load(); }
+  uint64_t errors() const { return errors_.load(); }
   const Histogram& latency() const { return latency_; }
 
  private:
+  // Issues one call for a slot already counted in in_flight_.
   void Issue() {
-    {
-      MutexLock lock(mu_);
-      ++in_flight_;
-    }
-    const uint64_t seq = issued_++;
+    const uint64_t seq = issued_.fetch_add(1, std::memory_order_relaxed);
     const uint64_t start_us =
         (seq % kLatencySampleEvery == 0) ? NowMicros() : 0;
     conn_->CallAsync(payload_, [this, start_us](Status s, Slice) {
       if (s.ok()) {
-        ++completed_;
+        completed_.fetch_add(1, std::memory_order_relaxed);
         if (start_us != 0) latency_.Record(NowMicros() - start_us);
       } else {
-        ++errors_;
+        errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      const bool reissue = s.ok() && NowMicros() < deadline_us_;
-      if (reissue) {
-        // Resolve the completed slot before reissuing so in_flight_ never
-        // overstates the window.
-        {
-          MutexLock lock(mu_);
-          --in_flight_;
-        }
+      // A reissue keeps its slot counted, so Drain never sees a momentary
+      // zero while calls are still live.
+      if (s.ok() && NowMicros() < deadline_us_) {
         Issue();
         return;
       }
@@ -99,11 +107,13 @@ class PipelinedClient {
   const NetBackend backend_;
   std::unique_ptr<RpcConnection> conn_;
   uint64_t deadline_us_ = 0;
-  // Touched only from the issuing thread and the connection's single
-  // callback thread, never concurrently for the same slot.
-  uint64_t issued_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errors_ = 0;
+  // relaxed: tallies read after Drain, which orders them through mu_.
+  // Written from the issuing thread (Run) and the callback thread.
+  std::atomic<uint64_t> issued_{0};
+  std::atomic<uint64_t> completed_{0};
+  std::atomic<uint64_t> errors_{0};
+  // Recorded only from successful callbacks, which all run on the one
+  // client loop thread.
   Histogram latency_;
   Mutex mu_;
   CondVar cv_;

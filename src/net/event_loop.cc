@@ -1,7 +1,7 @@
 #include "net/event_loop.h"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,74 +15,158 @@ namespace dpr {
 
 namespace {
 
-struct LoopMetrics {
-  Counter* wakeups;       // epoll_wait returns with >= 1 ready event
-  Counter* posted_tasks;  // closures handed to loop threads
-  Gauge* threads;         // live loop threads across all EventLoops
-};
+using internal::kReadChunk;
+using internal::MapSocketError;
+using internal::Stats;
 
-const LoopMetrics& Metrics() {
-  static const LoopMetrics m = [] {
-    MetricsRegistry& r = MetricsRegistry::Default();
-    return LoopMetrics{r.counter("net.loop.wakeups"),
-                       r.counter("net.loop.posted_tasks"),
-                       r.gauge("net.loop.threads")};
-  }();
-  return m;
+Counter* Wakeups() {  // epoll_wait returns with >= 1 ready event
+  static Counter* c = MetricsRegistry::Default().counter("net.loop.wakeups");
+  return c;
 }
+
+// Readiness half of a connection: receive into the loop's scratch buffer,
+// flush with sendmsg until the socket refuses (then wait for EPOLLOUT).
+class EpollConn final : public internal::Conn, public EventLoop::Handler {
+ public:
+  EpollConn(EventLoop* loop, int fd, internal::ConnOwner* owner,
+            size_t out_budget)
+      : Conn(loop, fd, owner, out_budget), ev_(*loop) {}
+
+  void Open() override {
+    if (closed_) return;
+    if (!ev_.Add(fd_, EPOLLIN, this).ok()) {
+      Close(Status::IOError("epoll_ctl(add) failed"));
+    }
+  }
+
+  void OnReady(uint32_t events) override {
+    if (events & EPOLLOUT) Flush();
+    if (closed_) return;
+    // A hung-up peer may still have sent data: keep receiving until recv
+    // reports the end, unless reads are paused (nothing more may be taken
+    // in, and the peer cannot read the responses anyway).
+    const bool hangup = (events & (EPOLLERR | EPOLLHUP)) != 0;
+    if (hangup && reads_paused()) {
+      Close(Status::Transient("connection closed"));
+    } else if (hangup || (events & EPOLLIN)) {
+      Receive(hangup);
+    }
+  }
+
+ protected:
+  void Flush() override {
+    while (!closed_ && NextBatch()) {
+      // dprlint: allowed(net-raw-write) the epoll driver's coalescing
+      // flush; NextBatch/Wrote carry partial-write offsets.
+      const ssize_t sent = sendmsg(fd_, &msg_, MSG_NOSIGNAL);
+      if (sent < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          // Kernel buffer full: resume from the partial offsets once the
+          // socket drains. The flush stays scheduled meanwhile.
+          Stats().eagain_waits->Add();
+          want_write_ = true;
+          Rearm();
+          return;
+        }
+        Close(MapSocketError("sendmsg", errno));
+        return;
+      }
+      Stats().writev_calls->Add();
+      Stats().writev_frames->Add(Wrote(static_cast<size_t>(sent)));
+    }
+    want_write_ = false;
+    Rearm();
+  }
+
+  void SetReadPaused(bool /*paused*/) override { Rearm(); }
+
+  void CloseIo() override {
+    ev_.Remove(fd_);
+    DropOutput();
+    FinishClose();
+  }
+
+ private:
+  // One chunk per pass; level-triggered epoll re-reports what is left.
+  void Receive(bool hangup) {
+    char* buf = ev_.read_buffer();
+    ssize_t got;
+    do {
+      Stats().recv_calls->Add();
+      got = recv(fd_, buf, kReadChunk, 0);
+    } while (got < 0 && errno == EINTR);
+    if (got > 0) {
+      Ingest(buf, static_cast<size_t>(got));
+    } else if (got == 0 ||
+               ((errno == EAGAIN || errno == EWOULDBLOCK) && hangup)) {
+      Close(Status::Transient("connection closed"));
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      Close(MapSocketError("recv", errno));
+    }
+  }
+
+  // Registers the interest the read gate and a blocked flush call for;
+  // epoll_ctl runs only when the mask changes.
+  void Rearm() {
+    if (closed_) return;
+    const uint32_t events =
+        (reads_paused() ? 0u : uint32_t{EPOLLIN}) |
+        (want_write_ ? uint32_t{EPOLLOUT} : 0u);
+    if (events == armed_) return;
+    armed_ = events;
+    // A failed epoll_ctl means the fd is already gone; drop the conn.
+    if (!ev_.Modify(fd_, events, this).ok()) {
+      Close(Status::IOError("epoll_ctl(mod) failed"));
+    }
+  }
+
+  EventLoop& ev_;
+  // Loop-thread-only state.
+  bool want_write_ = false;      // a flush hit EAGAIN
+  uint32_t armed_ = EPOLLIN;     // the registered interest mask
+};
 
 }  // namespace
 
+// Listener readiness: accept until EAGAIN.
+class EventLoop::Acceptor final : public Handler {
+ public:
+  Acceptor(int fd, std::function<void(int)> on_accept)
+      : fd_(fd), on_accept_(std::move(on_accept)) {}
+
+  void OnReady(uint32_t /*events*/) override {
+    for (;;) {
+      const int fd =
+          accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        on_accept_(fd);
+      } else if (errno != EINTR) {
+        return;  // EAGAIN, or a transient accept error; epoll re-arms
+      }
+    }
+  }
+
+ private:
+  const int fd_;
+  const std::function<void(int)> on_accept_;
+};
+
 EventLoop::EventLoop() = default;
 
-EventLoop::~EventLoop() { Stop(); }
+EventLoop::~EventLoop() {
+  Stop();
+  if (epoll_fd_ >= 0) close(epoll_fd_);
+}
 
-Status EventLoop::Start() {
+Status EventLoop::OpenDriver() {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) {
     return Status::IOError(std::string("epoll_create1: ") + strerror(errno));
   }
-  wake_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) {
-    close(epoll_fd_);
-    epoll_fd_ = -1;
-    return Status::IOError(std::string("eventfd: ") + strerror(errno));
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.ptr = nullptr;  // nullptr marks the wake channel
-  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
-    return Status::IOError(std::string("epoll_ctl(wake): ") +
-                           strerror(errno));
-  }
-  stop_.store(false, std::memory_order_relaxed);
-  {
-    MutexLock lock(post_mu_);
-    accepting_posts_ = true;
-  }
-  thread_ = std::thread([this] { Run(); });
-  Metrics().threads->Add(1);
-  return Status::OK();
-}
-
-void EventLoop::Stop() {
-  if (!thread_.joinable()) return;
-  {
-    MutexLock lock(post_mu_);
-    accepting_posts_ = false;
-  }
-  stop_.store(true, std::memory_order_relaxed);
-  Wake();
-  thread_.join();
-  Metrics().threads->Sub(1);
-  {
-    MutexLock lock(post_mu_);
-    posted_.clear();
-  }
-  close(wake_fd_);
-  close(epoll_fd_);
-  wake_fd_ = -1;
-  epoll_fd_ = -1;
+  read_buf_.resize(kReadChunk);
+  // nullptr marks the wake channel.
+  return Add(wake_fd(), EPOLLIN, nullptr);
 }
 
 Status EventLoop::Add(int fd, uint32_t events, Handler* handler) {
@@ -109,41 +193,23 @@ void EventLoop::Remove(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-bool EventLoop::Post(std::function<void()> fn) {
-  {
-    MutexLock lock(post_mu_);
-    if (!accepting_posts_) return false;
-    posted_.push_back(std::move(fn));
-  }
-  Metrics().posted_tasks->Add();
-  Wake();
-  return true;
+std::shared_ptr<internal::Conn> EventLoop::NewConn(int fd,
+                                                   internal::ConnOwner* owner,
+                                                   size_t out_budget) {
+  return std::make_shared<EpollConn>(this, fd, owner, out_budget);
 }
 
-void EventLoop::Wake() {
-  if (wake_pending_.exchange(true, std::memory_order_relaxed)) return;
-  const uint64_t one = 1;
-  // The loop clears wake_pending_ before reading the eventfd, so a Post
-  // racing the drain re-arms the wakeup rather than losing it.
-  // dprlint: allowed(net-raw-write) eventfd nudge, not a stream write.
-  ssize_t n = write(wake_fd_, &one, sizeof(one));
-  (void)n;  // eventfd writes cannot short-write; ENOSPC/EAGAIN both mean
-            // "already signaled", which is exactly what we wanted.
-}
-
-void EventLoop::DrainPosted() {
-  std::vector<std::function<void()>> tasks;
-  {
-    MutexLock lock(post_mu_);
-    tasks.swap(posted_);
+void EventLoop::Listen(int listen_fd, std::function<void(int)> on_accept) {
+  acceptor_ = std::make_unique<Acceptor>(listen_fd, std::move(on_accept));
+  if (!Add(listen_fd, EPOLLIN, acceptor_.get()).ok()) {
+    DPR_ERROR("epoll listener registration failed: %s", strerror(errno));
   }
-  for (auto& fn : tasks) fn();
 }
 
 void EventLoop::Run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
-  while (!stop_.load(std::memory_order_relaxed)) {
+  while (!stopping()) {
     const int n = epoll_wait(epoll_fd_, events, kMaxEvents,
                              /*timeout_ms=*/-1);
     if (n < 0) {
@@ -151,20 +217,18 @@ void EventLoop::Run() {
       DPR_ERROR("epoll_wait: %s", strerror(errno));
       return;
     }
-    if (n > 0) Metrics().wakeups->Add();
+    if (n > 0) Wakeups()->Add();
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
-        // Wake channel: clear the pending flag first so a concurrent Post
-        // after the eventfd read still produces a wakeup.
-        wake_pending_.store(false, std::memory_order_relaxed);
         uint64_t drained;
-        ssize_t r = read(wake_fd_, &drained, sizeof(drained));
+        ssize_t r = read(wake_fd(), &drained, sizeof(drained));
         (void)r;
+        WakeConsumed();
         continue;
       }
       static_cast<Handler*>(events[i].data.ptr)->OnReady(events[i].events);
     }
-    DrainPosted();
+    RunPosted();
   }
 }
 

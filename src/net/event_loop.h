@@ -1,32 +1,27 @@
 #ifndef DPR_NET_EVENT_LOOP_H_
 #define DPR_NET_EVENT_LOOP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "common/sync.h"
+#include "net/conn.h"
 
 namespace dpr {
 
-/// One epoll-driven I/O thread. Owns an epoll instance plus an eventfd used
-/// to interrupt epoll_wait; registered fds must be non-blocking. The TCP
-/// transport runs a fixed small set of these regardless of connection count
-/// (each accepted socket is pinned to one loop round-robin), so server-side
-/// thread count is O(io_threads), not O(connections).
+/// The epoll transport driver: one epoll-driven I/O thread plus the
+/// connection driver that moves bytes with recv/sendmsg on readiness. A
+/// server runs a fixed small set of these, and every epoll client
+/// connection in the process shares one, so thread count is O(loops), not
+/// O(connections). The post queue, deferred tasks and stop handshake come
+/// from internal::Loop.
 ///
-/// Threading contract:
-///  * Handler::OnReady always runs on the loop thread (level-triggered).
-///  * Add/Modify/Remove are plain epoll_ctl calls and may run from any
-///    thread; the caller guarantees the handler outlives its registration
-///    (the transport removes fds on the loop thread, or after Stop joined).
-///  * Post() hands a closure to the loop thread; closures run between epoll
-///    batches in submission order. After Stop they are dropped (the
-///    transport only posts flush nudges, which are moot once the loop dies).
-class EventLoop {
+/// Handler::OnReady always runs on the loop thread (level-triggered).
+/// Add/Modify/Remove are plain epoll_ctl calls; the caller guarantees the
+/// handler outlives its registration.
+class EventLoop final : public internal::Loop {
  public:
   class Handler {
    public:
@@ -36,47 +31,29 @@ class EventLoop {
   };
 
   EventLoop();
-  ~EventLoop();
-
-  EventLoop(const EventLoop&) = delete;
-  EventLoop& operator=(const EventLoop&) = delete;
-
-  /// Creates the epoll/eventfd pair and spawns the loop thread.
-  Status Start();
-  /// Wakes and joins the loop thread, then closes the epoll/eventfd. Pending
-  /// posted closures are dropped. Idempotent.
-  void Stop();
+  ~EventLoop() override;
 
   Status Add(int fd, uint32_t events, Handler* handler);
   Status Modify(int fd, uint32_t events, Handler* handler);
   /// Deregisters `fd`. The caller must not close the fd before removal.
   void Remove(int fd);
 
-  /// Queues `fn` onto the loop thread and wakes it. Returns false (fn
-  /// dropped) once Stop has begun.
-  bool Post(std::function<void()> fn);
+  /// Loop-thread scratch the connections receive into (kReadChunk bytes).
+  char* read_buffer() { return read_buf_.data(); }
 
-  bool InLoopThread() const {
-    return std::this_thread::get_id() == thread_.get_id();
-  }
+  std::shared_ptr<internal::Conn> NewConn(int fd, internal::ConnOwner* owner,
+                                          size_t out_budget) override;
+  void Listen(int listen_fd, std::function<void(int)> on_accept) override;
 
  private:
-  void Run();
-  void DrainPosted();
-  void Wake();
+  class Acceptor;
+
+  Status OpenDriver() override;
+  void Run() override;
 
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  std::thread thread_;
-  // relaxed flag: loop-exit signal; the eventfd write is the actual wakeup
-  // and thread join is the shutdown barrier.
-  std::atomic<bool> stop_{false};
-  // relaxed: collapses redundant eventfd writes; a spurious extra wakeup is
-  // harmless, a missed one is prevented by checking after the exchange.
-  std::atomic<bool> wake_pending_{false};
-  mutable Mutex post_mu_{LockRank::kTransportLoop, "net.loop.post"};
-  std::vector<std::function<void()>> posted_ GUARDED_BY(post_mu_);
-  bool accepting_posts_ GUARDED_BY(post_mu_) = false;
+  std::vector<char> read_buf_;
+  std::unique_ptr<Acceptor> acceptor_;  // loop thread
 };
 
 }  // namespace dpr

@@ -140,9 +140,10 @@ bool ApplyClientNetFaults(uint64_t peer_scope,
   }
   uint64_t delay_us = 0;
   if (plane.ShouldFire(faults::kNetDelay, peer_scope, &delay_us)) {
-    // Delays the caller rather than the frame: the in-order byte stream has
-    // no per-frame timer, and every DPR client issues from a dedicated
-    // flusher/retry thread that tolerates blocking.
+    // Delays the calling thread rather than the frame: the in-order byte
+    // stream has no per-frame timer. DPR clients issue from their own
+    // session, flush and retry-timer threads, never from a response
+    // callback, so the sleep never stalls the shared client loop.
     SleepMicros(delay_us);
   }
   *duplicate = plane.ShouldFire(faults::kNetDuplicate, peer_scope);

@@ -2,7 +2,7 @@
 #define DPR_NET_FRAME_H_
 
 // Wire-format and flush-path machinery shared by both TCP transport
-// backends (the epoll event loop in tcp_net.cc and the io_uring loop in
+// backends (the epoll driver in event_loop.cc and the io_uring driver in
 // uring_net.cc). Everything here encodes a contract both backends must
 // keep identically:
 //   * frames are [u32 payload-length][u64 request-id][payload];

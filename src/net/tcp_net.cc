@@ -2,26 +2,16 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/epoll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <cstring>
-#include <deque>
-#include <map>
-#include <thread>
+#include <cstdlib>
 #include <vector>
 
-#include "common/hash.h"
-#include "common/logging.h"
-#include "common/sync.h"
+#include "net/conn.h"
 #include "net/event_loop.h"
-#include "net/executor.h"
 #include "net/frame.h"
 #include "net/uring_net.h"
 #include "obs/metrics.h"
@@ -30,714 +20,34 @@ namespace dpr {
 
 namespace {
 
-using internal::BuildIovecs;
-using internal::ConfigureSocket;
-using internal::ConsumeWritten;
-using internal::kFrameHeader;
-using internal::kMaxIov;
-using internal::kReadChunk;
-using internal::MakeFrame;
-using internal::MapSocketError;
-using internal::OutFrame;
-using internal::ReadGate;
-using internal::SocketKind;
+using internal::Loop;
 using internal::Stats;
 
-// Blocks until `fd` is ready for `events` (POLLIN/POLLOUT). POLLERR/POLLHUP
-// fall through as success so the next recv/send reports the real errno.
-Status AwaitReady(int fd, short events) {
-  pollfd pfd{};
-  pfd.fd = fd;
-  pfd.events = events;
-  for (;;) {
-    const int rc = poll(&pfd, 1, /*timeout_ms=*/-1);
-    if (rc > 0) return Status::OK();
-    if (rc < 0 && errno != EINTR) return MapSocketError("poll", errno);
-  }
+Loop* StartShared(std::unique_ptr<Loop> loop) {
+  if (loop == nullptr || !loop->Start().ok()) return nullptr;
+  // Leaked deliberately: client connections may outlive any scope, and the
+  // loop thread must survive until process exit (same pattern as
+  // DefaultIoEngine in the storage plane).
+  return loop.release();
 }
 
-Status ReadFully(int fd, void* buf, size_t n, size_t* transferred = nullptr) {
-  char* p = static_cast<char*>(buf);
-  size_t done = 0;
-  Status result;
-  while (done < n) {
-    Stats().recv_calls->Add();
-    const ssize_t got = recv(fd, p + done, n - done, 0);
-    if (got > 0) {
-      done += static_cast<size_t>(got);
-      continue;
-    }
-    if (got == 0) {
-      result = Status::Transient("connection closed");
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Non-blocking fd with an empty receive buffer mid-message: wait for
-      // readability instead of surfacing a desynchronizing error.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLIN);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = MapSocketError("recv", errno);
-    break;
+// The process-wide client loop for the backend `requested` resolves to,
+// started on first use; falls back to epoll (counting it) like the server.
+Loop* ClientLoop(NetBackend requested) {
+  const bool want_uring = ResolveNetBackend(requested) == NetBackend::kIoUring;
+  if (want_uring) {
+    static Loop* const uring = StartShared(internal::NewUringLoop());
+    if (uring != nullptr) return uring;
   }
-  if (transferred != nullptr) *transferred = done;
-  return result;
+  if (want_uring || requested == NetBackend::kIoUring) {
+    Stats().uring_fallbacks->Add();
+  }
+  static Loop* const epoll = StartShared(std::make_unique<EventLoop>());
+  return epoll;
 }
 
-Status WriteFully(int fd, const void* buf, size_t n,
-                  size_t* transferred = nullptr) {
-  const char* p = static_cast<const char*>(buf);
-  size_t done = 0;
-  Status result;
-  while (done < n) {
-    // dprlint: allowed(net-raw-write) single-buffer slow path under the
-    // flush layer; short writes are counted right below.
-    const ssize_t sent = send(fd, p + done, n - done, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      if (static_cast<size_t>(sent) < n - done) Stats().short_writes->Add();
-      done += static_cast<size_t>(sent);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // A full send buffer (small SO_SNDBUF, slow reader) is not an error:
-      // aborting here would tear the frame and desync the length-prefixed
-      // stream for every later frame on this connection.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLOUT);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = MapSocketError("send", errno);
-    break;
-  }
-  if (transferred != nullptr) *transferred = done;
-  return result;
-}
-
-// Blocking vectored write: retries until every iovec byte is on the wire or
-// a hard error occurs. `iov` is consumed destructively. Uses sendmsg rather
-// than writev for MSG_NOSIGNAL (a raw writev to a dead peer raises SIGPIPE).
-Status WritevFully(int fd, struct iovec* iov, int iovcnt,
-                   size_t* transferred = nullptr) {
-  size_t total = 0;
-  for (int i = 0; i < iovcnt; ++i) total += iov[i].iov_len;
-  size_t done = 0;
-  int idx = 0;
-  Status result;
-  while (done < total) {
-    msghdr msg{};
-    msg.msg_iov = iov + idx;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt - idx);
-    // dprlint: allowed(net-raw-write) sanctioned vectored-flush helper; the
-    // framing layer above carries partial-write offsets.
-    const ssize_t sent = sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (sent >= 0) {
-      Stats().writev_calls->Add();
-      if (static_cast<size_t>(sent) < total - done) Stats().short_writes->Add();
-      done += static_cast<size_t>(sent);
-      size_t left = static_cast<size_t>(sent);
-      while (idx < iovcnt && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
-      }
-      if (left > 0) {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
-      }
-      continue;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      // Same contract as WriteFully: a full send buffer must not tear the
-      // frame mid-batch, so wait for writability and resume the iovecs.
-      Stats().eagain_waits->Add();
-      result = AwaitReady(fd, POLLOUT);
-      if (!result.ok()) break;
-      continue;
-    }
-    result = MapSocketError("sendmsg", errno);
-    break;
-  }
-  if (transferred != nullptr) *transferred = done;
-  return result;
-}
-
-Status ReadFrame(int fd, uint64_t* id, std::string* payload) {
-  char header[kFrameHeader];
-  DPR_RETURN_NOT_OK(ReadFully(fd, header, kFrameHeader));
-  const uint32_t len = DecodeFixed32(header);
-  *id = DecodeFixed64(header + 4);
-  payload->resize(len);
-  if (len > 0) DPR_RETURN_NOT_OK(ReadFully(fd, payload->data(), len));
-  Stats().frames_received->Add();
-  return Status::OK();
-}
-
-// ------------------------------------------------------------------- server
-
-class TcpServer;
-
-// One accepted socket, pinned to one event loop. Frame parsing runs on the
-// loop thread; handler execution on the server's shared executor; responses
-// queue here and a loop-thread flush coalesces everything queued into one
-// sendmsg. Lifetime: the server's registry plus in-flight executor tasks
-// hold shared_ptr refs, so a task finishing after the socket closed just
-// drops its response.
-class ServerConn : public EventLoop::Handler,
-                   public std::enable_shared_from_this<ServerConn> {
- public:
-  ServerConn(TcpServer* server, EventLoop* loop, int fd, size_t out_budget)
-      : server_(server), loop_(loop), fd_(fd), out_budget_(out_budget) {}
-
-  ~ServerConn() override {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  // Loop thread only.
-  void OnReady(uint32_t events) override;
-
-  // Any thread (executor workers). Queues the response and nudges the loop.
-  void SendResponse(uint64_t id, std::string payload);
-
-  // Server Stop() path: loops are already joined, so teardown is
-  // single-threaded from here.
-  void ShutdownFd();
-
- private:
-  void HandleReadable();
-  void ParseFrames();
-  void FlushOnLoop();
-  void UpdateInterest();
-  void CloseOnLoop();
-
-  TcpServer* const server_;
-  EventLoop* const loop_;
-  int fd_;
-  const size_t out_budget_;
-
-  // Loop-thread-only state; no lock by construction (single writer thread).
-  std::vector<char> input_;
-  size_t input_used_ = 0;
-  bool want_write_ = false;  // EPOLLOUT armed (flush hit EAGAIN)
-  ReadGate read_gate_;       // output over budget; EPOLLIN dropped
-  bool closed_ = false;
-
-  Mutex out_mu_{LockRank::kTransport, "net.tcp.server_out"};
-  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
-  size_t out_bytes_ GUARDED_BY(out_mu_) = 0;
-  // True while a flush is guaranteed to run (posted nudge in flight or
-  // EPOLLOUT armed); collapses redundant Post() wakeups under pipelining.
-  bool flush_scheduled_ GUARDED_BY(out_mu_) = false;
-  // Cleared when the fd dies: late executor responses are dropped instead
-  // of queueing on a closed connection forever.
-  bool writable_ GUARDED_BY(out_mu_) = true;
-};
-
-class TcpServer : public RpcServer, public EventLoop::Handler {
- public:
-  TcpServer(uint16_t port, const TcpServerOptions& options)
-      : requested_port_(port), options_(options) {
-    if (options_.io_threads == 0) options_.io_threads = 1;
-    if (options_.executor_threads == 0) options_.executor_threads = 1;
-    if (options_.executor_queue_capacity == 0) {
-      options_.executor_queue_capacity = 1;
-    }
-  }
-
-  ~TcpServer() override { Stop(); }
-
-  Status Start(RpcHandler handler) override {
-    handler_ = std::move(handler);
-    stop_.store(false, std::memory_order_release);
-    listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) return Status::IOError("socket failed");
-    ConfigureSocket(listen_fd_, SocketKind::kListener);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(requested_port_);
-    if (bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      return Status::IOError(std::string("bind: ") + strerror(errno));
-    }
-    socklen_t len = sizeof(addr);
-    getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    bound_port_ = ntohs(addr.sin_port);
-    if (listen(listen_fd_, 128) != 0) {
-      return Status::IOError(std::string("listen: ") + strerror(errno));
-    }
-    executor_ = std::make_unique<Executor>(ExecutorOptions{
-        options_.executor_threads, options_.executor_queue_capacity,
-        "net.tcp.executor"});
-    executor_->Start();
-    loops_.reserve(options_.io_threads);
-    for (uint32_t i = 0; i < options_.io_threads; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>());
-      DPR_RETURN_NOT_OK(loops_.back()->Start());
-    }
-    // The listener lives on loop 0; accepted sockets spread round-robin.
-    return loops_[0]->Add(listen_fd_, EPOLLIN, this);
-  }
-
-  void Stop() override {
-    if (stop_.exchange(true)) return;
-    // Join the loops first: once no I/O thread is alive, nothing touches
-    // the sockets concurrently and teardown is single-threaded. (Late
-    // executor responses find Post() rejected and are dropped.)
-    for (auto& loop : loops_) loop->Stop();
-    if (listen_fd_ >= 0) {
-      close(listen_fd_);
-      listen_fd_ = -1;
-    }
-    // Drain the executor: every accepted request task still runs (tasks
-    // observe stop_ and skip the handler; their would-be responses die with
-    // the connections below).
-    if (executor_) executor_->Shutdown();
-    std::map<ServerConn*, std::shared_ptr<ServerConn>> conns;
-    {
-      MutexLock guard(conns_mu_);
-      conns.swap(conns_);
-    }
-    for (auto& [ptr, conn] : conns) {
-      (void)ptr;
-      conn->ShutdownFd();
-      Stats().server_conns->Sub(1);
-    }
-  }
-
-  std::string address() const override {
-    return "127.0.0.1:" + std::to_string(bound_port_);
-  }
-
-  // Listener readiness (loop 0 thread): accept until EAGAIN.
-  void OnReady(uint32_t /*events*/) override {
-    for (;;) {
-      const int fd =
-          accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN, or a transient accept error; epoll re-arms
-      }
-      Stats().accepted->Add();
-      ConfigureSocket(fd, SocketKind::kData);
-      EventLoop* loop = loops_[next_loop_++ % loops_.size()].get();
-      auto conn = std::make_shared<ServerConn>(
-          this, loop, fd, options_.max_output_queue_bytes);
-      {
-        MutexLock guard(conns_mu_);
-        conns_[conn.get()] = conn;
-      }
-      Stats().server_conns->Add(1);
-      if (!loop->Add(fd, EPOLLIN, conn.get()).ok()) {
-        ForgetConn(conn.get());
-        conn->ShutdownFd();
-      }
-    }
-  }
-
-  // Drops the registry ref for a connection that closed itself. The object
-  // survives while executor tasks still hold it.
-  void ForgetConn(ServerConn* conn) {
-    std::shared_ptr<ServerConn> ref;
-    {
-      MutexLock guard(conns_mu_);
-      auto it = conns_.find(conn);
-      if (it == conns_.end()) return;
-      ref = std::move(it->second);
-      conns_.erase(it);
-    }
-    Stats().server_conns->Sub(1);
-  }
-
-  // Loop thread: hand a decoded request to the shared executor. Submit
-  // blocks while the bounded queue is full — the loop thread pausing here
-  // is precisely the read-throttle the bounded intake exists to provide.
-  void Dispatch(std::shared_ptr<ServerConn> conn, uint64_t id,
-                std::string request) {
-    (void)executor_->Submit(
-        [this, conn = std::move(conn), id, request = std::move(request)] {
-          if (stop_.load(std::memory_order_acquire)) return;
-          std::string response;
-          handler_(Slice(request), &response);
-          conn->SendResponse(id, std::move(response));
-        });
-    // false only during Shutdown, when the sockets are closing anyway.
-  }
-
- private:
-  uint16_t requested_port_;
-  TcpServerOptions options_;
-  uint16_t bound_port_ = 0;
-  int listen_fd_ = -1;
-  RpcHandler handler_;
-  // acquire/release: executor tasks read it to skip handlers during Stop.
-  std::atomic<bool> stop_{true};
-  std::unique_ptr<Executor> executor_;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  size_t next_loop_ = 0;  // loop-0 thread only (accept path)
-  Mutex conns_mu_{LockRank::kTransportLoop, "net.tcp.conns"};
-  std::map<ServerConn*, std::shared_ptr<ServerConn>> conns_
-      GUARDED_BY(conns_mu_);
-};
-
-void ServerConn::OnReady(uint32_t events) {
-  // Keep a ref for the duration: CloseOnLoop drops the registry ref, which
-  // may be the last one outside this frame.
-  auto self = shared_from_this();
-  if (closed_) return;
-  if (events & (EPOLLERR | EPOLLHUP)) {
-    CloseOnLoop();
-    return;
-  }
-  if (events & EPOLLOUT) {
-    FlushOnLoop();
-    if (closed_) return;
-  }
-  if (events & EPOLLIN) HandleReadable();
-}
-
-void ServerConn::HandleReadable() {
-  bool peer_closed = false;
-  bool fatal = false;
-  if (input_.size() < input_used_ + kReadChunk) {
-    input_.resize(input_used_ + kReadChunk);
-  }
-  for (;;) {
-    Stats().recv_calls->Add();
-    const ssize_t got = recv(fd_, input_.data() + input_used_, kReadChunk, 0);
-    if (got > 0) {
-      input_used_ += static_cast<size_t>(got);
-      break;  // one chunk per pass; level-triggered epoll re-reports
-    }
-    if (got == 0) {
-      peer_closed = true;
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    fatal = true;
-    break;
-  }
-  ParseFrames();
-  if (peer_closed || fatal) CloseOnLoop();
-}
-
-void ServerConn::ParseFrames() {
-  bool garbage = false;
-  const size_t pos = internal::ParseFrameStream(
-      input_.data(), input_used_, &garbage,
-      [&](uint64_t id, const char* payload, size_t len) {
-        server_->Dispatch(shared_from_this(), id, std::string(payload, len));
-      });
-  if (garbage) {
-    // Not a frame boundary we can trust; the stream is garbage.
-    CloseOnLoop();
-    return;
-  }
-  if (pos > 0) {
-    memmove(input_.data(), input_.data() + pos, input_used_ - pos);
-    input_used_ -= pos;
-  }
-}
-
-void ServerConn::SendResponse(uint64_t id, std::string payload) {
-  bool nudge = false;
-  {
-    MutexLock guard(out_mu_);
-    if (!writable_) return;  // fd gone; the response dies with the conn
-    OutFrame f = MakeFrame(id, std::move(payload));
-    out_bytes_ += f.size();
-    Stats().output_queue_bytes->Add(static_cast<int64_t>(f.size()));
-    out_.push_back(std::move(f));
-    if (!flush_scheduled_) {
-      flush_scheduled_ = true;
-      nudge = true;
-    }
-  }
-  if (nudge) {
-    auto self = shared_from_this();
-    // Post rejection means the loop already stopped (server Stop): the
-    // queued response is dropped along with the connection.
-    (void)loop_->Post([self] { self->FlushOnLoop(); });
-  }
-}
-
-void ServerConn::FlushOnLoop() {
-  if (closed_) return;
-  Status fail;
-  bool blocked = false;
-  {
-    MutexLock guard(out_mu_);
-    while (!out_.empty()) {
-      struct iovec iov[kMaxIov];
-      int iovcnt = 0;
-      size_t batch_bytes = 0;
-      BuildIovecs(out_, iov, &iovcnt, &batch_bytes);
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(iovcnt);
-      // dprlint: allowed(net-raw-write) sanctioned loop-thread coalescing
-      // flush; partial writes carry offsets via ConsumeWritten.
-      const ssize_t sent = sendmsg(fd_, &msg, MSG_NOSIGNAL);
-      if (sent < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          // Kernel buffer full: arm EPOLLOUT and resume from the partial
-          // offsets when the socket drains. flush_scheduled_ stays true.
-          Stats().eagain_waits->Add();
-          blocked = true;
-          break;
-        }
-        fail = MapSocketError("sendmsg", errno);
-        break;
-      }
-      Stats().writev_calls->Add();
-      if (static_cast<size_t>(sent) < batch_bytes) Stats().short_writes->Add();
-      const size_t completed =
-          ConsumeWritten(&out_, static_cast<size_t>(sent));
-      out_bytes_ -= static_cast<size_t>(sent);
-      Stats().output_queue_bytes->Sub(sent);
-      Stats().frames_sent->Add(completed);
-      Stats().writev_frames->Add(completed);
-    }
-    if (out_.empty()) flush_scheduled_ = false;
-  }
-  if (!fail.ok()) {
-    CloseOnLoop();
-    return;
-  }
-  want_write_ = blocked;
-  UpdateInterest();
-}
-
-void ServerConn::UpdateInterest() {
-  size_t queued;
-  {
-    MutexLock guard(out_mu_);
-    queued = out_bytes_;
-  }
-  // Backpressure hysteresis shared with the uring backend (see
-  // internal::ReadGate): pause reads above the byte budget, resume below
-  // half of it, so a slow client draining responses doesn't flap.
-  read_gate_.Update(queued, out_budget_);
-  uint32_t events = 0;
-  if (!read_gate_.paused) events |= EPOLLIN;
-  if (want_write_) events |= EPOLLOUT;
-  // A failed epoll_ctl here means the fd is already gone; drop the conn.
-  if (!loop_->Modify(fd_, events, this).ok()) CloseOnLoop();
-}
-
-void ServerConn::CloseOnLoop() {
-  if (closed_) return;
-  closed_ = true;
-  loop_->Remove(fd_);
-  size_t dropped;
-  {
-    MutexLock guard(out_mu_);
-    writable_ = false;
-    dropped = out_bytes_;
-    out_.clear();
-    out_bytes_ = 0;
-  }
-  if (dropped > 0) {
-    Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
-  }
-  close(fd_);
-  fd_ = -1;
-  server_->ForgetConn(this);
-}
-
-void ServerConn::ShutdownFd() {
-  size_t dropped;
-  {
-    MutexLock guard(out_mu_);
-    writable_ = false;
-    dropped = out_bytes_;
-    out_.clear();
-    out_bytes_ = 0;
-  }
-  if (dropped > 0) {
-    Stats().output_queue_bytes->Sub(static_cast<int64_t>(dropped));
-  }
-  if (fd_ >= 0) {
-    close(fd_);
-    fd_ = -1;
-  }
-  closed_ = true;  // loops are joined; no loop thread can race this
-}
-
-// ------------------------------------------------------------------- client
-
-// Client side mirrors the server's write path: CallAsync only enqueues a
-// frame; a single flusher thread drains the queue with vectored writes, so
-// pipelined requests issued back-to-back coalesce into one syscall. The
-// flusher is the only thread that dequeues, so there is exactly one
-// in-flight flush per connection by construction (the uring client keeps
-// the same invariant with a single in-flight SENDMSG SQE).
-class TcpConnection : public RpcConnection {
- public:
-  TcpConnection(int fd, std::string peer)
-      : fd_(fd), peer_scope_(HashBytes(peer.data(), peer.size())) {
-    reader_ = std::thread([this] { ReadLoop(); });
-    flusher_ = std::thread([this] { FlushLoop(); });
-  }
-
-  ~TcpConnection() override {
-    {
-      MutexLock guard(out_mu_);
-      closing_ = true;
-    }
-    out_cv_.NotifyAll();
-    shutdown(fd_, SHUT_RDWR);  // unblocks both the flusher and the reader
-    if (flusher_.joinable()) flusher_.join();
-    if (reader_.joinable()) reader_.join();
-    close(fd_);
-    FailPending(Status::Unavailable("connection destroyed"));
-  }
-
-  void CallAsync(std::string request, ResponseCallback callback) override {
-    bool duplicate = false;
-    if (!internal::ApplyClientNetFaults(peer_scope_, callback, &duplicate)) {
-      return;
-    }
-    const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    {
-      MutexLock guard(pending_mu_);
-      pending_[id] = std::move(callback);
-    }
-    bool accepted;
-    {
-      MutexLock guard(out_mu_);
-      accepted = !closing_ && !poisoned_;
-      if (accepted) {
-        if (duplicate) out_.push_back(MakeFrame(id, request));
-        out_.push_back(MakeFrame(id, std::move(request)));
-      }
-    }
-    if (accepted) {
-      out_cv_.NotifyOne();
-      return;
-    }
-    ResponseCallback cb = TakePending(id);
-    if (cb) cb(Status::Transient("connection closed"), Slice());
-  }
-
- private:
-  void Poison() {
-    Stats().poisoned->Add();
-    {
-      MutexLock guard(out_mu_);
-      poisoned_ = true;
-    }
-    shutdown(fd_, SHUT_RDWR);
-  }
-
-  void FlushLoop() {
-    for (;;) {
-      std::deque<OutFrame> batch;
-      {
-        MutexLock guard(out_mu_);
-        out_cv_.Wait(out_mu_, [this]() REQUIRES(out_mu_) {
-          return closing_ || !out_.empty();
-        });
-        if (out_.empty()) return;  // closing, nothing left to send
-        // Take everything queued: every request pipelined since the last
-        // flush coalesces into the same vectored writes.
-        batch.swap(out_);
-      }
-      SendBatch(&batch);
-    }
-  }
-
-  void SendBatch(std::deque<OutFrame>* batch) {
-    while (!batch->empty()) {
-      struct iovec iov[kMaxIov];
-      int iovcnt = 0;
-      size_t batch_bytes = 0;
-      BuildIovecs(*batch, iov, &iovcnt, &batch_bytes);
-      size_t written = 0;
-      Status s = WritevFully(fd_, iov, iovcnt, &written);
-      const size_t completed = ConsumeWritten(batch, written);
-      Stats().frames_sent->Add(completed);
-      Stats().writev_frames->Add(completed);
-      if (!s.ok()) {
-        HandleWriteFailure(batch, s);
-        return;
-      }
-    }
-  }
-
-  // A write error with bytes of the front frame already on the wire leaves
-  // the server reading our next header out of the middle of this payload;
-  // nothing sent afterwards would parse. Kill the socket so ReadLoop fails
-  // every pending call instead of silently desynchronizing. A clean
-  // frame-boundary failure only fails the frames this batch still owned.
-  void HandleWriteFailure(std::deque<OutFrame>* batch, const Status& s) {
-    if (!batch->empty() && batch->front().offset > 0) Poison();
-    for (OutFrame& f : *batch) {
-      ResponseCallback cb = TakePending(f.id);
-      if (cb) cb(s, Slice());
-    }
-    batch->clear();
-  }
-
-  void ReadLoop() {
-    std::string payload;
-    uint64_t id = 0;
-    for (;;) {
-      Status s = ReadFrame(fd_, &id, &payload);
-      if (!s.ok()) {
-        FailPending(s);
-        return;
-      }
-      ResponseCallback cb = TakePending(id);
-      if (cb) cb(Status::OK(), Slice(payload));
-    }
-  }
-
-  ResponseCallback TakePending(uint64_t id) {
-    MutexLock guard(pending_mu_);
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return nullptr;
-    ResponseCallback cb = std::move(it->second);
-    pending_.erase(it);
-    return cb;
-  }
-
-  void FailPending(const Status& s) {
-    std::map<uint64_t, ResponseCallback> orphans;
-    {
-      MutexLock guard(pending_mu_);
-      orphans.swap(pending_);
-    }
-    for (auto& [id, cb] : orphans) {
-      (void)id;
-      cb(s, Slice());
-    }
-  }
-
-  int fd_;
-  const uint64_t peer_scope_;
-  std::thread reader_;
-  std::thread flusher_;
-  // relaxed: request-id allocator; uniqueness is all that matters, the
-  // id is published to the reader via pending_mu_.
-  std::atomic<uint64_t> next_id_{1};
-  Mutex out_mu_{LockRank::kTransport, "net.tcp.client_out"};
-  CondVar out_cv_;  // wakes the flusher on enqueue or shutdown
-  std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
-  bool closing_ GUARDED_BY(out_mu_) = false;
-  bool poisoned_ GUARDED_BY(out_mu_) = false;
-  Mutex pending_mu_{LockRank::kTransport, "net.tcp.pending"};
-  std::map<uint64_t, ResponseCallback> pending_ GUARDED_BY(pending_mu_);
-};
-
-// Opens and connects the socket half of ConnectTcp; shared by both
-// backends (connection establishment stays synchronous either way).
+// Opens and connects the client socket; connection establishment stays
+// synchronous on either backend.
 Status OpenClientSocket(const std::string& address, int* out_fd) {
   const size_t colon = address.rfind(':');
   if (colon == std::string::npos) {
@@ -757,25 +67,30 @@ Status OpenClientSocket(const std::string& address, int* out_fd) {
   if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int err = errno;
     close(fd);
-    return MapSocketError("connect", err);
+    return internal::MapSocketError("connect", err);
   }
-  ConfigureSocket(fd, SocketKind::kData);
+  internal::ConfigureSocket(fd, internal::SocketKind::kData);
   *out_fd = fd;
   return Status::OK();
+}
+
+// Wraps a connected socket as a client on the shared loop; `peer` seeds the
+// fault-probe scope.
+std::unique_ptr<RpcConnection> NewClientOn(NetBackend backend, int fd,
+                                           const std::string& peer) {
+  Loop* loop = ClientLoop(backend);
+  if (loop == nullptr) {
+    close(fd);
+    return nullptr;
+  }
+  return internal::NewClient(loop, fd, peer);
 }
 
 }  // namespace
 
 NetBackend ResolveNetBackend(NetBackend requested) {
-  switch (requested) {
-    case NetBackend::kEpoll:
-      return NetBackend::kEpoll;
-    case NetBackend::kIoUring:
-      return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
-    case NetBackend::kAuto:
-      return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
-  }
-  return NetBackend::kEpoll;
+  if (requested == NetBackend::kEpoll) return NetBackend::kEpoll;
+  return NetUringSupported() ? NetBackend::kIoUring : NetBackend::kEpoll;
 }
 
 std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port) {
@@ -784,18 +99,29 @@ std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port) {
 
 std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port,
                                          const TcpServerOptions& options) {
-  if (ResolveNetBackend(options.backend) == NetBackend::kIoUring) {
-    auto server = internal::TryMakeUringTcpServer(port, options);
-    if (server != nullptr) return server;
-    // Supported-looking kernel but ring setup failed right now (fd limits,
-    // memlock); serve epoll instead of failing the caller.
-    if (options.backend != NetBackend::kEpoll) {
+  const uint32_t n = std::max<uint32_t>(options.io_threads, 1);
+  std::vector<std::unique_ptr<Loop>> loops;
+  const bool want_uring =
+      ResolveNetBackend(options.backend) == NetBackend::kIoUring;
+  for (uint32_t i = 0; want_uring && i < n; ++i) {
+    std::unique_ptr<Loop> loop = internal::NewUringLoop();
+    if (loop == nullptr) {
+      // Supported-looking kernel but ring setup failed right now (fd
+      // limits, memlock): serve epoll instead of failing the caller.
+      loops.clear();
+      break;
+    }
+    loops.push_back(std::move(loop));
+  }
+  if (loops.empty()) {
+    if (want_uring || options.backend == NetBackend::kIoUring) {
       Stats().uring_fallbacks->Add();
     }
-  } else if (options.backend == NetBackend::kIoUring) {
-    Stats().uring_fallbacks->Add();
+    for (uint32_t i = 0; i < n; ++i) {
+      loops.push_back(std::make_unique<EventLoop>());
+    }
   }
-  return std::make_unique<TcpServer>(port, options);
+  return internal::NewServer(port, options, std::move(loops));
 }
 
 Status ConnectTcp(const std::string& address,
@@ -807,44 +133,16 @@ Status ConnectTcp(const std::string& address, const TcpClientOptions& options,
                   std::unique_ptr<RpcConnection>* out) {
   int fd = -1;
   DPR_RETURN_NOT_OK(OpenClientSocket(address, &fd));
-  if (ResolveNetBackend(options.backend) == NetBackend::kIoUring) {
-    auto conn = internal::TryWrapUringClientFd(fd, address);
-    if (conn != nullptr) {
-      *out = std::move(conn);
-      return Status::OK();
-    }
-    if (options.backend != NetBackend::kEpoll) {
-      Stats().uring_fallbacks->Add();
-    }
-  } else if (options.backend == NetBackend::kIoUring) {
-    Stats().uring_fallbacks->Add();
-  }
-  *out = std::make_unique<TcpConnection>(fd, address);
+  *out = NewClientOn(options.backend, fd, address);
+  if (*out == nullptr) return Status::IOError("no client event loop");
   return Status::OK();
 }
 
 namespace internal {
 
-Status TcpReadFully(int fd, void* buf, size_t n, size_t* transferred) {
-  return ReadFully(fd, buf, n, transferred);
-}
-
-Status TcpWriteFully(int fd, const void* buf, size_t n, size_t* transferred) {
-  return WriteFully(fd, buf, n, transferred);
-}
-
-Status TcpWritevFully(int fd, struct iovec* iov, int iovcnt,
-                      size_t* transferred) {
-  return WritevFully(fd, iov, iovcnt, transferred);
-}
-
 std::unique_ptr<RpcConnection> WrapClientFdForTest(int fd,
                                                    NetBackend backend) {
-  if (ResolveNetBackend(backend) == NetBackend::kIoUring &&
-      backend != NetBackend::kEpoll) {
-    return TryWrapUringClientFd(fd, "test-wrapped-fd");
-  }
-  return std::make_unique<TcpConnection>(fd, "test-wrapped-fd");
+  return NewClientOn(backend, fd, "test-wrapped-fd");
 }
 
 }  // namespace internal

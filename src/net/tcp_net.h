@@ -8,8 +8,6 @@
 
 #include "net/rpc.h"
 
-struct iovec;  // <sys/uio.h>
-
 namespace dpr {
 
 /// Transport backend selector, runtime-resolved like the storage plane's
@@ -29,9 +27,10 @@ enum class NetBackend {
 /// [u32 payload-length][u64 request-id][payload]; requests pipeline freely
 /// and responses are matched by id.
 ///
-/// Server architecture (both backends): a fixed set of I/O threads own the
-/// sockets (connections pinned round-robin), decode frames, and hand
-/// execution to a shared bounded Executor, so server thread count is
+/// Both backends drive one connection core (net/conn.h) and differ only in
+/// how bytes move. Server: a fixed set of I/O threads own the sockets
+/// (connections pinned round-robin), decode frames, and hand execution to a
+/// shared bounded Executor, so server thread count is
 /// O(io_threads + executor_threads) regardless of connection count and a
 /// slow handler never stalls unrelated connections. Responses queue per
 /// connection and are flushed vectored — every frame ready at flush time
@@ -57,8 +56,8 @@ struct TcpServerOptions {
 
 struct TcpClientOptions {
   /// Transport backend for the connection's I/O; kAuto resolves at connect
-  /// time. io_uring clients share one process-wide ring loop thread
-  /// (vs two dedicated threads per epoll connection).
+  /// time. All client connections of one backend share one process-wide
+  /// loop thread, started by the first connect.
   NetBackend backend = NetBackend::kAuto;
 };
 
@@ -69,9 +68,10 @@ std::unique_ptr<RpcServer> MakeTcpServer(uint16_t port,
                                          const TcpServerOptions& options);
 
 /// Connects to "host:port" as produced by RpcServer::address(). The client
-/// mirrors the server's write path: CallAsync enqueues frames and a single
-/// per-connection flush (thread or SQE) coalesces everything queued into
-/// one vectored write.
+/// mirrors the server's write path: CallAsync enqueues frames and one
+/// loop-thread flush per connection (sendmsg or SENDMSG SQE) coalesces
+/// everything queued into one vectored write. Response callbacks run on
+/// the shared client loop thread and must not block on another call.
 Status ConnectTcp(const std::string& address,
                   std::unique_ptr<RpcConnection>* out);
 Status ConnectTcp(const std::string& address, const TcpClientOptions& options,
@@ -89,28 +89,10 @@ bool NetUringSupported();
 
 namespace internal {
 
-/// Loop primitives under the framing layer, exposed for regression tests
-/// (tests/tcp_partial_write_test.cc drives them over a socketpair with a
-/// tiny SO_SNDBUF). All retry EINTR, and block on poll() when a
-/// non-blocking fd reports EAGAIN/EWOULDBLOCK, so a short transfer never
-/// surfaces as an error. `transferred` (optional) reports bytes moved
-/// before any failure — the framing layer uses it to detect a torn frame,
-/// which must poison the connection (a length-prefixed stream cannot
-/// resynchronize mid-frame).
-Status TcpReadFully(int fd, void* buf, size_t n,
-                    size_t* transferred = nullptr);
-Status TcpWriteFully(int fd, const void* buf, size_t n,
-                     size_t* transferred = nullptr);
-/// Vectored variant used by the frame-coalescing flush paths. `iov` is
-/// consumed destructively (bases/lengths advance past written bytes).
-Status TcpWritevFully(int fd, struct iovec* iov, int iovcnt,
-                      size_t* transferred = nullptr);
-
 /// Wraps an already-connected stream socket as a client RpcConnection on
 /// the requested backend (tests use a socketpair end to drive torn-frame
 /// scenarios that a real loopback connect cannot reach deterministically).
-/// Returns null when `backend` resolves to kIoUring but the client ring
-/// cannot start — callers decide whether to skip or fall back.
+/// Takes ownership of `fd`.
 std::unique_ptr<RpcConnection> WrapClientFdForTest(
     int fd, NetBackend backend = NetBackend::kEpoll);
 

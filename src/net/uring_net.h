@@ -1,32 +1,22 @@
 #ifndef DPR_NET_URING_NET_H_
 #define DPR_NET_URING_NET_H_
 
-// io_uring transport backend, selected through the NetBackend seam in
+// io_uring transport driver, selected through the NetBackend seam in
 // tcp_net.h (MakeTcpServer / ConnectTcp route here when the backend
-// resolves to kIoUring). Everything below returns null when the backend is
-// compiled out (DPR_HAVE_IOURING=0) or the kernel lacks the feature set, so
-// the factories in tcp_net.cc can fall back to the epoll loop.
+// resolves to kIoUring).
 
 #include <memory>
-#include <string>
 
-#include "net/rpc.h"
-#include "net/tcp_net.h"
+#include "net/conn.h"
 
 namespace dpr {
 namespace internal {
 
-/// Uring-backed RpcServer. Ring + provided-buffer-ring setup happens here
-/// (not in Start) so a failure falls back to epoll before the caller ever
-/// holds the server.
-std::unique_ptr<RpcServer> TryMakeUringTcpServer(
-    uint16_t port, const TcpServerOptions& options);
-
-/// Wraps an already-connected stream socket as a uring-backed client
-/// connection on the shared client ring loop. `peer` seeds the fault-probe
-/// scope, as in the epoll client.
-std::unique_ptr<RpcConnection> TryWrapUringClientFd(int fd,
-                                                    const std::string& peer);
+/// An opened, not yet started ring loop. Null when the driver is compiled
+/// out (DPR_HAVE_IOURING=0), the kernel lacks the feature set, or ring
+/// setup fails right now (fd limits, memlock), so the factories in
+/// tcp_net.cc can fall back to epoll.
+std::unique_ptr<Loop> NewUringLoop();
 
 }  // namespace internal
 }  // namespace dpr

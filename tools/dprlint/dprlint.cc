@@ -23,7 +23,7 @@ const std::vector<CheckInfo> kRegistry = {
      "rank-checked dpr:: wrappers"},
     {"net-raw-write",
      "raw send(2)/write(2)/writev(2)/pwrite(2) under net/; route frame bytes "
-     "through TcpWriteFully/TcpWritevFully or the event-loop flush"},
+     "through the connection core's flush (Conn::NextBatch/Wrote)"},
     {"storage-raw-io",
      "raw block I/O syscall outside src/storage/; submit through the "
      "Device/IoEngine API"},
