@@ -1,9 +1,25 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace dpr {
+
+namespace {
+
+/// A typo'd value must not silently run some other configuration: name the
+/// flag and exit.
+[[noreturn]] void RejectValue(const std::string& key, const std::string& value,
+                              const char* expected) {
+  fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n", key.c_str(),
+          value.c_str(), expected);
+  std::exit(2);
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -31,20 +47,35 @@ std::string Flags::GetString(const std::string& key,
 
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return default_value;
+  const std::string& text = it->second;
+  const char* end = text.data() + text.size();
+  int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) RejectValue(key, text, "an integer");
+  return value;
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
-  return it == values_.end() ? default_value
-                             : strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return default_value;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    RejectValue(key, text, "a number");
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  RejectValue(key, text, "true/false, 1/0 or yes/no");
 }
 
 }  // namespace dpr

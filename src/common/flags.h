@@ -9,7 +9,9 @@ namespace dpr {
 
 /// Tiny `--key=value` command-line parser for bench/example binaries.
 /// Unknown flags are tolerated (stored and retrievable), `--flag` with no
-/// value is treated as boolean true.
+/// value is treated as boolean true. A typed getter whose flag holds text it
+/// cannot parse (`--threads=4x`, `--quick=maybe`) prints a message naming
+/// the flag and exits with status 2.
 class Flags {
  public:
   Flags(int argc, char** argv);

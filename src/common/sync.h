@@ -112,9 +112,14 @@ enum class LockRank : int {
                         // themselves run outside the lock)
   kClientWindow = 110,  // dredis/dfaster client pending-window locks
 
-  // Finder plane (FinderCore: gate > compute > stage; remote: flush > queue
-  // > snapshot — the two families never nest with each other).
+  // Finder plane (FinderCore: gate > compute > stage, compute > published;
+  // remote: flush > queue > snapshot — the two families never nest with
+  // each other).
+  kFinderWake = 111,       // coordinator wake flag (leaf: taken by report
+                           // ingest and the coordinator, nothing under it)
   kFinderSnapshot = 112,
+  kFinderPublished = 113,  // FinderCore's published cut (leaf: written under
+                           // the compute lock, read by response stamping)
   kFinderStage = 114,
   kFinderQueue = 116,
   kFinderCompute = 118,

@@ -10,7 +10,7 @@ namespace dpr {
 
 GraphDprFinder::GraphDprFinder(MetadataStore* metadata, bool persist_graph,
                                bool serve_vmax)
-    : FinderCore(metadata, /*stage_reports=*/true, serve_vmax),
+    : FinderCore(metadata, serve_vmax),
       persist_graph_(persist_graph) {
   if (persist_graph_) {
     // Reload durably-stored graph nodes (coordinator restart).
@@ -176,7 +176,7 @@ void GraphDprFinder::SimulateCoordinatorCrash() {
 // ----------------------------------------------------------- SimpleDprFinder
 
 SimpleDprFinder::SimpleDprFinder(MetadataStore* metadata, bool serve_vmax)
-    : FinderCore(metadata, /*stage_reports=*/false, serve_vmax) {}
+    : FinderCore(metadata, serve_vmax) {}
 
 Status SimpleDprFinder::PersistReportDurable(const WorkerVersion& wv,
                                              const DependencySet& /*deps*/) {

@@ -1,6 +1,7 @@
 #include "dpr/finder_core.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/clock.h"
@@ -49,47 +50,66 @@ const FinderMetrics& Metrics() {
 DprFinder::~DprFinder() { StopCoordinator(); }
 
 void DprFinder::StartCoordinator(uint64_t interval_us) {
-  stop_.store(false, std::memory_order_relaxed);
+  {
+    MutexLock lock(coord_mu_);
+    coord_stop_ = false;
+    coord_wake_ = false;
+  }
   coordinator_ = std::thread([this, interval_us] {
-    while (!stop_.load(std::memory_order_relaxed)) {
+    while (true) {
       Status s = ComputeCut();
       if (!s.ok()) {
         DPR_WARN("coordinator ComputeCut: %s", s.ToString().c_str());
       }
-      SleepMicros(interval_us);
+      // A report that lands while ComputeCut runs leaves coord_wake_ set,
+      // so the next round starts at once.
+      MutexLock lock(coord_mu_);
+      coord_cv_.WaitFor(coord_mu_, std::chrono::microseconds(interval_us),
+                        [this]() REQUIRES(coord_mu_) {
+                          return coord_stop_ || coord_wake_;
+                        });
+      if (coord_stop_) return;
+      coord_wake_ = false;
     }
   });
 }
 
 void DprFinder::StopCoordinator() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    MutexLock lock(coord_mu_);
+    coord_stop_ = true;
+  }
+  coord_cv_.NotifyAll();
   if (coordinator_.joinable()) coordinator_.join();
 }
 
-Version DprFinder::SafeVersion(WorkerId worker) const {
-  WorldLine wl;
-  DprCut cut;
-  GetCut(&wl, &cut);
-  return CutVersion(cut, worker);
+void DprFinder::WakeCoordinator() {
+  {
+    MutexLock lock(coord_mu_);
+    coord_wake_ = true;
+  }
+  coord_cv_.NotifyOne();
 }
 
 // ---------------------------------------------------------------- FinderCore
 
-FinderCore::FinderCore(MetadataStore* metadata, bool stage_reports,
-                       bool serve_vmax)
-    : metadata_(metadata),
-      stage_reports_(stage_reports),
-      serve_vmax_(serve_vmax) {
+FinderCore::FinderCore(MetadataStore* metadata, bool serve_vmax)
+    : metadata_(metadata), serve_vmax_(serve_vmax) {
   world_line_.store(metadata_->GetWorldLine(), std::memory_order_release);
   WorldLine cut_wl;
   metadata_->GetCut(&cut_wl, &cut_);
   vmax_.store(metadata_->MaxPersistedVersion(), std::memory_order_release);
+  MutexLock guard(mu_);
+  PublishCutLocked();  // the cut recovered from the metadata store
 }
 
 Status FinderCore::AddWorker(WorkerId worker, Version start_version) {
   MutexLock guard(mu_);
   DPR_RETURN_NOT_OK(metadata_->UpsertWorker(worker, start_version));
-  if (cut_.find(worker) == cut_.end()) cut_[worker] = start_version;
+  if (cut_.find(worker) == cut_.end()) {
+    cut_[worker] = start_version;
+    PublishCutLocked();
+  }
   Version cur = vmax_.load(std::memory_order_relaxed);
   while (start_version > cur &&
          !vmax_.compare_exchange_weak(cur, start_version,
@@ -103,6 +123,7 @@ Status FinderCore::RemoveWorker(WorkerId worker) {
   MutexLock guard(mu_);
   DPR_RETURN_NOT_OK(metadata_->RemoveWorker(worker));
   cut_.erase(worker);
+  PublishCutLocked();
   OnWorkerRemovedLocked(worker);
   return Status::OK();
 }
@@ -122,23 +143,24 @@ Status FinderCore::ReportPersistedVersion(WorldLine world_line,
          !vmax_.compare_exchange_weak(cur, wv.version,
                                       std::memory_order_release)) {
   }
-  if (stage_reports_) {
-    size_t depth;
-    {
-      MutexLock guard(stage_mu_);
-      staged_.push_back(StagedReport{wv, deps, NowMicros()});
-      depth = staged_.size();
-    }
-    uint64_t peak = staged_peak_.load(std::memory_order_relaxed);
-    while (depth > peak &&
-           !staged_peak_.compare_exchange_weak(peak, depth,
-                                               std::memory_order_relaxed)) {
-    }
-    Metrics().staged_depth->Set(static_cast<int64_t>(depth));
-    Metrics().staged_peak->UpdateMax(static_cast<int64_t>(depth));
+  // Every accepted report is staged, whatever the algorithm: the ingest
+  // time rides along for the report→cut-advance latency sample.
+  size_t depth;
+  {
+    MutexLock guard(stage_mu_);
+    staged_.push_back(StagedReport{wv, deps, NowMicros()});
+    depth = staged_.size();
   }
+  uint64_t peak = staged_peak_.load(std::memory_order_relaxed);
+  while (depth > peak &&
+         !staged_peak_.compare_exchange_weak(peak, depth,
+                                             std::memory_order_relaxed)) {
+  }
+  Metrics().staged_depth->Set(static_cast<int64_t>(depth));
+  Metrics().staged_peak->UpdateMax(static_cast<int64_t>(depth));
   reports_ingested_.fetch_add(1, std::memory_order_relaxed);
   Metrics().reports_ingested->Add();
+  WakeCoordinator();
   return Status::OK();
 }
 
@@ -176,6 +198,11 @@ void FinderCore::DiscardStagedLocked() {
   cut_latency_pending_.clear();
 }
 
+void FinderCore::PublishCutLocked() {
+  MutexLock guard(pub_mu_);
+  published_ = cut_;
+}
+
 Status FinderCore::ComputeCut() {
   MutexLock guard(mu_);
   if (in_recovery_) return Status::OK();
@@ -202,6 +229,7 @@ Status FinderCore::ComputeCut() {
   DPR_RETURN_NOT_OK(
       metadata_->SetCut(world_line_.load(std::memory_order_acquire), next));
   cut_ = std::move(next);
+  PublishCutLocked();  // SetCut above made it durable
   cut_advances_.fetch_add(1, std::memory_order_relaxed);
   Metrics().cut_advances->Add();
   last_advance_us_.store(now_us, std::memory_order_relaxed);
@@ -210,7 +238,7 @@ Status FinderCore::ComputeCut() {
   while (!cut_latency_pending_.empty()) {
     const auto& [wv, ingest_us] = cut_latency_pending_.front();
     if (CutVersion(cut_, wv.worker) < wv.version) break;
-    if (now_us > ingest_us) {
+    if (now_us >= ingest_us) {
       Metrics().report_to_cut_us->Record(now_us - ingest_us);
     }
     cut_latency_pending_.pop_front();
@@ -236,8 +264,12 @@ WorldLine FinderCore::CurrentWorldLine() const {
 }
 
 Version FinderCore::SafeVersion(WorkerId worker) const {
-  MutexLock guard(mu_);
-  return CutVersion(cut_, worker);
+  return PublishedSafeVersion(worker);
+}
+
+Version FinderCore::PublishedSafeVersion(WorkerId worker) const {
+  MutexLock guard(pub_mu_);
+  return CutVersion(published_, worker);
 }
 
 Status FinderCore::BeginRecovery(WorldLine* new_world_line, DprCut* cut) {

@@ -21,7 +21,7 @@ namespace dpr {
 ///
 /// All implementations are thread-safe. Cut computation can run inline via
 /// ComputeCut() (tests) or on the background coordinator thread
-/// (StartCoordinator).
+/// (StartCoordinator), which a landing report wakes early.
 class DprFinder {
  public:
   virtual ~DprFinder();
@@ -58,10 +58,15 @@ class DprFinder {
                                DprCut* recovery_cut) = 0;
   virtual Status EndRecovery() = 0;
 
-  /// Convenience: committed version of one worker in the latest cut.
-  /// Implementations override this with a fast path that avoids
+  /// Committed version of one worker in the latest cut, without
   /// materializing the whole cut.
-  virtual Version SafeVersion(WorkerId worker) const;
+  virtual Version SafeVersion(WorkerId worker) const = 0;
+
+  /// This worker's entry in the last durable cut the finder published, read
+  /// without blocking: no I/O, no RPC, no compute lock. Every response
+  /// carries it (DprWorker::FillResponse), so the first response after a cut
+  /// advance tells the client. May lag SafeVersion(), never lead it.
+  virtual Version PublishedSafeVersion(WorkerId worker) const = 0;
 
   /// Chaos hook: models losing the coordinator process without losing the
   /// durable metadata. Implementations that keep per-report in-memory state
@@ -69,18 +74,28 @@ class DprFinder {
   /// algorithm computing from durable rows alone loses nothing.
   virtual void SimulateCoordinatorCrash() {}
 
-  /// Runs ComputeCut() every `interval_us` on a background thread.
+  /// Runs ComputeCut() on a background thread as soon as a report lands
+  /// (WakeCoordinator), and at least every `interval_us`. Stopping does not
+  /// wait out the interval.
   void StartCoordinator(uint64_t interval_us);
   void StopCoordinator();
 
+ protected:
+  /// Asks a running coordinator for a ComputeCut round now; a no-op when
+  /// none runs (cuts are then computed by explicit ComputeCut calls).
+  void WakeCoordinator();
+
  private:
+  Mutex coord_mu_{LockRank::kFinderWake, "finder.wake"};
+  CondVar coord_cv_;
+  bool coord_stop_ GUARDED_BY(coord_mu_) = false;
+  bool coord_wake_ GUARDED_BY(coord_mu_) = false;
   std::thread coordinator_;
-  // relaxed flag: coordinator loop-exit signal; join is the barrier.
-  std::atomic<bool> stop_{false};
 };
 
 /// One worker report staged by the ingest side, awaiting application to the
-/// compute side's in-memory structures.
+/// compute side's in-memory structures (a no-op for algorithms that compute
+/// from durable rows alone, which stage only for the latency sample).
 struct StagedReport {
   WorkerVersion wv;
   DependencySet deps;
@@ -104,15 +119,19 @@ struct FinderCoreStats {
 /// Ingest side (ReportPersistedVersion): validates the report's world-line
 /// against an atomic, performs the algorithm's durable write
 /// (PersistReportDurable — the metadata store serializes internally), bumps
-/// the atomic Vmax, and appends the report to a small staging buffer. It
-/// never takes the compute lock, so reports do not serialize against cut
-/// computation.
+/// the atomic Vmax, appends the report to a small staging buffer, and wakes
+/// the coordinator. It never takes the compute lock, so reports do not
+/// serialize against cut computation.
 ///
 /// Compute side (ComputeCut): under the compute lock `mu_`, drains the
 /// staging buffer into the algorithm's in-memory structures
 /// (ApplyReportLocked) and asks the algorithm for a candidate cut
-/// (ComputeCandidateLocked); any advance is persisted and garbage-collection
-/// hooks run.
+/// (ComputeCandidateLocked); any advance is persisted, then published, and
+/// garbage-collection hooks run.
+///
+/// Read side (SafeVersion, PublishedSafeVersion): serves the published copy
+/// of the cut under a leaf lock, so a worker's read never waits out a
+/// ComputeCut that holds `mu_` across the metadata fsync.
 ///
 /// Recovery closes the ingest gate exclusively (a shared_mutex reports pass
 /// through in shared mode) so no report can interleave with the world-line
@@ -128,27 +147,26 @@ class FinderCore : public DprFinder {
   Version MaxPersistedVersion() const override;
   WorldLine CurrentWorldLine() const override;
   Version SafeVersion(WorkerId worker) const override;
+  Version PublishedSafeVersion(WorkerId worker) const override;
   Status BeginRecovery(WorldLine* new_world_line, DprCut* cut) override;
   Status EndRecovery() override;
 
   FinderCoreStats core_stats() const;
 
  protected:
-  /// `stage_reports` is false for algorithms with no in-memory per-report
-  /// state (the approximate finder computes from durable rows only).
   /// `serve_vmax` implements FinderOptions::vmax_fastforward: when false,
   /// MaxPersistedVersion() reports kInvalidVersion so workers never
   /// fast-forward (§3.4 ablation), though Vmax is still tracked internally
   /// for recovery bookkeeping.
-  FinderCore(MetadataStore* metadata, bool stage_reports,
-             bool serve_vmax = true);
+  FinderCore(MetadataStore* metadata, bool serve_vmax);
 
   // --- algorithm hooks -----------------------------------------------------
   /// Ingest side, no lock held: the report's durable write (graph node row,
   /// dpr-table row). Must be safe to run concurrently with the compute side.
   virtual Status PersistReportDurable(const WorkerVersion& wv,
                                       const DependencySet& deps) = 0;
-  /// Compute side, mu_ held: folds one staged report into in-memory state.
+  /// Compute side, mu_ held: folds one staged report into in-memory state
+  /// (default: nothing, for algorithms that compute from durable rows).
   virtual void ApplyReportLocked(StagedReport&& report) REQUIRES(mu_);
   /// Compute side, mu_ held: the algorithm's candidate next cut.
   virtual Status ComputeCandidateLocked(DprCut* next) REQUIRES(mu_) = 0;
@@ -168,6 +186,9 @@ class FinderCore : public DprFinder {
   /// Drops staged reports without applying them (recovery, coordinator
   /// crash: they are lost to the rollback / the lost process).
   void DiscardStagedLocked() REQUIRES(mu_);
+  /// Publishes `cut_` to the read side. Called whenever `cut_` changes, and
+  /// only once the change is durable.
+  void PublishCutLocked() REQUIRES(mu_);
 
   MetadataStore* metadata_;
   /// Compute lock: guards cut_, in_recovery_, and subclass in-memory state.
@@ -176,7 +197,6 @@ class FinderCore : public DprFinder {
   bool in_recovery_ GUARDED_BY(mu_) = false;
 
  private:
-  const bool stage_reports_;
   const bool serve_vmax_;
   /// Served lock-free to report filtering. release on recovery-install /
   /// acquire on read: observing world line w implies observing the cut
@@ -194,6 +214,10 @@ class FinderCore : public DprFinder {
   /// lock (DrainStagedLocked acquires mu_ → stage_mu_).
   mutable Mutex stage_mu_{LockRank::kFinderStage, "finder.stage"};
   std::vector<StagedReport> staged_ GUARDED_BY(stage_mu_);
+  /// The read side's copy of `cut_` (PublishCutLocked). A leaf lock held
+  /// only for a copy or one lookup, never across I/O.
+  mutable Mutex pub_mu_{LockRank::kFinderPublished, "finder.published"};
+  DprCut published_ GUARDED_BY(pub_mu_);
 
   /// relaxed: monotonic stat counters for obs export only.
   std::atomic<uint64_t> reports_ingested_{0};

@@ -502,6 +502,11 @@ Version RemoteDprFinder::SafeVersion(WorkerId worker) const {
   // The fast path: no flush, snapshot served within its TTL. Watermarks lag
   // reality anyway; a slightly stale cut only delays commit acks.
   (void)RefreshSnapshot(/*force=*/false);
+  return PublishedSafeVersion(worker);
+}
+
+Version RemoteDprFinder::PublishedSafeVersion(WorkerId worker) const {
+  // The response path: whatever snapshot is cached, never an RPC.
   MutexLock guard(snap_mu_);
   return CutVersion(snapshot_.cut, worker);
 }

@@ -83,7 +83,8 @@ struct RemoteFinderStats {
 /// retry/backoff on transport errors. Reads (GetCut, MaxPersistedVersion,
 /// CurrentWorldLine) flush pending reports and refresh the snapshot first,
 /// so read-after-report behaves exactly like the local finder; SafeVersion
-/// is the fast path and serves from the snapshot within its TTL. Control
+/// is the fast path and serves from the snapshot within its TTL, and
+/// PublishedSafeVersion serves the cached snapshot as is. Control
 /// operations (AddWorker, recovery) are synchronous RPCs preceded by a
 /// flush.
 class RemoteDprFinder : public DprFinder {
@@ -101,6 +102,7 @@ class RemoteDprFinder : public DprFinder {
   Version MaxPersistedVersion() const override;
   WorldLine CurrentWorldLine() const override;
   Version SafeVersion(WorkerId worker) const override;
+  Version PublishedSafeVersion(WorkerId worker) const override;
   Status BeginRecovery(WorldLine* new_world_line, DprCut* cut) override;
   Status EndRecovery() override;
 

@@ -1,5 +1,6 @@
 #include "dpr/worker.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -191,12 +192,23 @@ void DprWorker::EndBatch() { version_latch_.UnlockShared(); }
 
 void DprWorker::FillResponse(Version executed_version,
                              DprResponseHeader::BatchStatus status,
-                             DprResponseHeader* resp) const {
+                             DprResponseHeader* resp) {
+  // Stamp the finder's published cut: the first response after a cut
+  // advance carries it, instead of waiting for the next refresh. The
+  // watermark is read before the world-line: a cut that advanced on a new
+  // world-line needs this worker's rollback first, so the world-line read
+  // after it cannot be the old one.
+  const Version published =
+      options_.finder->PublishedSafeVersion(options_.worker_id);
+  Version watermark = persisted_watermark_.load(std::memory_order_acquire);
+  while (published > watermark &&
+         !persisted_watermark_.compare_exchange_weak(
+             watermark, published, std::memory_order_acq_rel)) {
+  }
   resp->status = status;
   resp->world_line = world_line_.load(std::memory_order_acquire);
   resp->executed_version = executed_version;
-  resp->persisted_version =
-      persisted_watermark_.load(std::memory_order_acquire);
+  resp->persisted_version = std::max(watermark, published);
 }
 
 Status DprWorker::TryCommit(Version target_version,

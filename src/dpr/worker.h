@@ -78,10 +78,12 @@ class DprWorker {
   void EndBatch();
 
   /// Fills a response header for a batch that executed in `executed_version`
-  /// (or for a rejection, using the status mapped from BeginBatch()).
+  /// (or for a rejection, using the status mapped from BeginBatch()). The
+  /// finder's published cut entry for this worker is max-merged into the
+  /// watermark first; that read never blocks (no I/O, RPC or finder lock).
   void FillResponse(Version executed_version,
                     DprResponseHeader::BatchStatus status,
-                    DprResponseHeader* resp) const;
+                    DprResponseHeader* resp);
 
   /// Triggers a commit now. target 0 means current+1 (with Vmax
   /// fast-forward when enabled). Returns Busy if the store is already
@@ -105,7 +107,8 @@ class DprWorker {
     return world_line_.load(std::memory_order_acquire);
   }
   /// This worker's committed watermark (refreshed from the finder by the
-  /// timer thread; piggybacked on every response).
+  /// timer thread and on checkpoint persistence, raised to the finder's
+  /// published cut by every response, and piggybacked on it).
   Version persisted_watermark() const {
     return persisted_watermark_.load(std::memory_order_acquire);
   }

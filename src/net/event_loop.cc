@@ -19,11 +19,6 @@ using internal::kReadChunk;
 using internal::MapSocketError;
 using internal::Stats;
 
-Counter* Wakeups() {  // epoll_wait returns with >= 1 ready event
-  static Counter* c = MetricsRegistry::Default().counter("net.loop.wakeups");
-  return c;
-}
-
 // Readiness half of a connection: receive into the loop's scratch buffer,
 // flush with sendmsg until the socket refuses (then wait for EPOLLOUT).
 class EpollConn final : public internal::Conn, public EventLoop::Handler {
@@ -217,7 +212,7 @@ void EventLoop::Run() {
       DPR_ERROR("epoll_wait: %s", strerror(errno));
       return;
     }
-    if (n > 0) Wakeups()->Add();
+    if (n > 0) Stats().loop_wakeups->Add();
     for (int i = 0; i < n; ++i) {
       if (events[i].data.ptr == nullptr) {
         uint64_t drained;

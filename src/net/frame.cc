@@ -45,6 +45,7 @@ const TcpCounters& Stats() {
                        r.counter("net.tcp.writev_frames"),
                        r.counter("net.tcp.recv_calls"),
                        r.counter("net.tcp.accepted"),
+                       r.counter("net.loop.wakeups"),
                        r.gauge("net.tcp.output_queue_bytes"),
                        r.gauge("net.tcp.server_conns"),
                        r.counter("net.uring.sqe_batches"),

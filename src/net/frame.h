@@ -69,6 +69,8 @@ struct TcpCounters {
   Counter* writev_frames;    // frames completed by coalesced flushes
   Counter* recv_calls;       // recv(2) syscalls (epoll read path)
   Counter* accepted;         // server sockets accepted
+  Counter* loop_wakeups;     // loop waits (epoll_wait, io_uring_enter) that
+                             // came back with work ready
   Gauge* output_queue_bytes;  // bytes queued awaiting flush, all server conns
   Gauge* server_conns;        // live accepted connections
   // io_uring backend series (see DESIGN.md §4l syscall accounting):

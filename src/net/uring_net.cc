@@ -270,6 +270,7 @@ class UringLoop final : public internal::Loop {
         // Combined submit-and-wait: one io_uring_enter parks until a CQE
         // (data, send completion, or the wake eventfd read) is available.
         Stats().uring_sqe_batches->Add(ring_.SubmitAndWait(1));
+        if (ring_.CqReady()) Stats().loop_wakeups->Add();
       }
       const unsigned reaped =
           ring_.DrainCqes([this](const io_uring_cqe& cqe) { HandleCqe(cqe); });

@@ -256,6 +256,48 @@ TEST(FlagsTest, ParsesKeyValueAndBools) {
   EXPECT_FALSE(flags.Has("missing"));
 }
 
+TEST(FlagsTest, ParsesEveryBoolSpelling) {
+  const char* argv[] = {"prog", "--a=true", "--b=1",  "--c=yes",
+                        "--d=false", "--e=0", "--f=no", "--neg=-3"};
+  Flags flags(8, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.GetBool("a", false));
+  EXPECT_TRUE(flags.GetBool("b", false));
+  EXPECT_TRUE(flags.GetBool("c", false));
+  EXPECT_FALSE(flags.GetBool("d", true));
+  EXPECT_FALSE(flags.GetBool("e", true));
+  EXPECT_FALSE(flags.GetBool("f", true));
+  EXPECT_EQ(flags.GetInt("neg", 0), -3);
+}
+
+// A malformed value exits naming the flag instead of running a default.
+TEST(FlagsDeathTest, MalformedIntExits) {
+  const char* argv[] = {"prog", "--duration_ms=abc", "--threads=4x",
+                        "--keys="};
+  Flags flags(4, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetInt("duration_ms", 1000),
+              ::testing::ExitedWithCode(2), "--duration_ms");
+  EXPECT_EXIT(flags.GetInt("threads", 1), ::testing::ExitedWithCode(2),
+              "--threads");
+  EXPECT_EXIT(flags.GetInt("keys", 1), ::testing::ExitedWithCode(2),
+              "--keys");
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExits) {
+  const char* argv[] = {"prog", "--theta=0.9x", "--ratio=fast"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetDouble("theta", 0.99), ::testing::ExitedWithCode(2),
+              "--theta");
+  EXPECT_EXIT(flags.GetDouble("ratio", 1.0), ::testing::ExitedWithCode(2),
+              "--ratio");
+}
+
+TEST(FlagsDeathTest, MalformedBoolExits) {
+  const char* argv[] = {"prog", "--quick=maybe"};
+  Flags flags(2, const_cast<char**>(argv));
+  EXPECT_EXIT(flags.GetBool("quick", true), ::testing::ExitedWithCode(2),
+              "--quick");
+}
+
 TEST(LatchTest, SpinLatchMutualExclusion) {
   SpinLatch latch;
   int counter = 0;

@@ -159,6 +159,57 @@ TEST_F(DprWorkerTest, WatermarkAdvancesAfterCutIncludesUs) {
   EXPECT_EQ(resp.executed_version, 2u);
 }
 
+TEST_F(DprWorkerTest, ResponseCarriesNewCutWithoutRefresh) {
+  // The timer is off, so nothing refreshes the watermark after the cut
+  // advances: the response itself must pick up the finder's published cut.
+  Version v;
+  ASSERT_TRUE(worker_->BeginBatch(Header(), &v).ok());
+  worker_->EndBatch();
+  ASSERT_TRUE(worker_->TryCommit().ok());
+  state_.ReleaseCheckpoint();  // reports token 1; no cut covers it yet
+  EXPECT_EQ(worker_->persisted_watermark(), 0u);
+  ASSERT_TRUE(finder_->ComputeCut().ok());
+  DprResponseHeader resp;
+  worker_->FillResponse(2, DprResponseHeader::BatchStatus::kOk, &resp);
+  EXPECT_EQ(resp.persisted_version, 1u);
+  EXPECT_EQ(worker_->persisted_watermark(), 1u);
+}
+
+TEST_F(DprWorkerTest, ResponseCarriesCutAdvancedByPeerReport) {
+  // Approximate finder: the cut is min(persisted) over workers, so worker
+  // 0's entry advances when worker 1 reports, long after worker 0's own
+  // persistence callback last refreshed its watermark.
+  MetadataStore metadata(std::make_unique<MemoryDevice>());
+  ASSERT_TRUE(metadata.Recover().ok());
+  auto finder =
+      MakeDprFinder({.kind = FinderKind::kApprox, .metadata = &metadata});
+  FakeStateObject state0;
+  FakeStateObject state1;
+  DprWorkerOptions options;
+  options.finder = finder.get();
+  options.checkpoint_interval_us = 0;
+  options.vmax_fast_forward = false;
+  options.worker_id = 0;
+  DprWorker worker0(&state0, options);
+  options.worker_id = 1;
+  DprWorker worker1(&state1, options);
+  ASSERT_TRUE(worker0.Start().ok());
+  ASSERT_TRUE(worker1.Start().ok());
+
+  ASSERT_TRUE(worker0.TryCommit().ok());
+  state0.ReleaseCheckpoint();  // worker 0 reports v1; Vmin is still 0
+  ASSERT_TRUE(finder->ComputeCut().ok());
+  EXPECT_EQ(worker0.persisted_watermark(), 0u);
+  ASSERT_TRUE(worker1.TryCommit().ok());
+  state1.ReleaseCheckpoint();  // worker 1 reports v1
+  ASSERT_TRUE(finder->ComputeCut().ok());
+  ASSERT_EQ(finder->SafeVersion(0), 1u);
+
+  DprResponseHeader resp;
+  worker0.FillResponse(2, DprResponseHeader::BatchStatus::kOk, &resp);
+  EXPECT_EQ(resp.persisted_version, 1u);
+}
+
 TEST_F(DprWorkerTest, StaleWorldLineBatchAborted) {
   ASSERT_TRUE(worker_->Rollback(2, 0).ok());
   Version v;

@@ -237,6 +237,31 @@ TEST_F(FinderServiceTest, SnapshotInvalidatedWhenRetriedFlushLands) {
   EXPECT_EQ(remote.SafeVersion(0), 2u);
 }
 
+TEST_F(FinderServiceTest, PublishedSafeVersionServesCacheWithoutRpc) {
+  // Responses stamp PublishedSafeVersion; behind a remote finder it must
+  // serve the cached snapshot and never call the service.
+  RemoteDprFinderOptions options;
+  options.snapshot_ttl_us = 0;  // every SafeVersion refreshes
+  RemoteDprFinder remote(net_.Connect("finder"), options);
+  ASSERT_TRUE(remote.AddWorker(0, 0).ok());
+  ASSERT_TRUE(local_
+                  ->ReportPersistedVersion(kInitialWorldLine,
+                                           WorkerVersion{0, 1}, {})
+                  .ok());
+  ASSERT_TRUE(local_->ComputeCut().ok());
+  EXPECT_EQ(remote.SafeVersion(0), 1u);
+  const uint64_t refreshes = remote.stats().snapshot_refreshes;
+  ASSERT_TRUE(local_
+                  ->ReportPersistedVersion(kInitialWorldLine,
+                                           WorkerVersion{0, 2}, {})
+                  .ok());
+  ASSERT_TRUE(local_->ComputeCut().ok());
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(remote.PublishedSafeVersion(0), 1u);
+  EXPECT_EQ(remote.stats().snapshot_refreshes, refreshes);
+  EXPECT_EQ(remote.SafeVersion(0), 2u);  // the refreshing path is unchanged
+  EXPECT_EQ(remote.PublishedSafeVersion(0), 2u);
+}
+
 TEST(FinderServiceTcpTest, WorksOverRealSockets) {
   MetadataStore metadata(std::make_unique<MemoryDevice>());
   ASSERT_TRUE(metadata.Recover().ok());

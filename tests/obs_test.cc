@@ -422,6 +422,11 @@ TEST(RegistryMirrorTest, UringTransportPublishesToRegistry) {
     // Ring health: submissions were batched and completions reaped.
     EXPECT_GT(snap.counters.at("net.uring.sqe_batches"), 0u);
     EXPECT_GT(snap.counters.at("net.uring.cqe_reaped"), 0u);
+    // The ring loops count their wakeups like the epoll loops do: at least
+    // one per served call batch, never more than the waits that reaped.
+    EXPECT_GT(snap.counters.at("net.loop.wakeups"), 0u);
+    EXPECT_LE(snap.counters.at("net.loop.wakeups"),
+              snap.counters.at("net.uring.sqe_batches"));
     // No explicit-uring fallback happened (the kernel supports it here).
     EXPECT_EQ(snap.counters.at("net.uring.fallbacks"), 0u);
     // Shared framing counters move regardless of backend. Both directions
