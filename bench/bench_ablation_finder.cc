@@ -34,6 +34,7 @@ std::unique_ptr<DprFinder> Make(const std::string& kind,
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "ablation_finder");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<uint32_t> cluster_sizes =
       config.quick ? std::vector<uint32_t>{8, 32}

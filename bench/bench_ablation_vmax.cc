@@ -20,6 +20,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "ablation_vmax");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const uint64_t fast_interval_us = 10000;
   const uint64_t slow_interval_us = 100000;  // 10x laggard

@@ -47,6 +47,7 @@ int Run(const Flags& flags) {
       flags.GetInt("seeds", quick ? 50 : 500));
   const uint32_t steps = static_cast<uint32_t>(
       flags.GetInt("steps", quick ? 1000 : 3000));
+  flags.RejectUnknown();
 
   printf("\n=== Chaos soak: %llu seeds x %u steps ===\n",
          static_cast<unsigned long long>(num_seeds), steps);

@@ -35,6 +35,7 @@ struct BackendConfig {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig10_scaleout");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   std::vector<uint32_t> worker_counts =
       config.quick ? std::vector<uint32_t>{2, 4}
@@ -89,6 +90,7 @@ void Run(const Flags& flags) {
 void RunLiveRescale(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig10_scaleout");
+  flags.RejectUnknown();
   json.RecordConfig(config);
 
   ClusterOptions options;

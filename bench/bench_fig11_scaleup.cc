@@ -17,6 +17,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig11_scaleup");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<uint32_t> thread_counts =
       config.quick ? std::vector<uint32_t>{1, 2, 4}

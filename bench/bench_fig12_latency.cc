@@ -22,6 +22,7 @@ void PrintHistogram(const char* label, const Histogram& h) {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig12_latency");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   for (uint32_t batch : {1024u, 64u}) {
     ClusterOptions options;

@@ -17,6 +17,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig13_tradeoff");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<uint32_t> batches =
       config.quick ? std::vector<uint32_t>{1, 8, 64, 512}

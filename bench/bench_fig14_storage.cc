@@ -156,6 +156,7 @@ void RunStoragePlane(const BenchConfig& config, BenchJsonOutput* json) {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig14_storage");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<uint64_t> intervals_ms = {500, 250, 100, 50, 25};
   const std::vector<std::pair<std::string, StorageBackend>> backends = {

@@ -18,6 +18,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig15_colocation");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<double> local_fractions =
       config.quick ? std::vector<double>{0.0, 0.5, 0.9, 1.0}

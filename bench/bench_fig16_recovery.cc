@@ -61,6 +61,7 @@ void Run(const Flags& flags) {
   json.RecordConfig(config);
   const uint64_t total_ms = config.quick ? 9000 : 45000;
   ClusterOptions options = BaseOptions(flags);
+  flags.RejectUnknown();
   DFasterCluster cluster(options);
   Status s = cluster.Start();
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
@@ -110,6 +111,7 @@ void RunLiveRescale(const Flags& flags) {
   json.RecordConfig(config);
 
   ClusterOptions options = BaseOptions(flags);
+  flags.RejectUnknown();
   DFasterCluster cluster(options);
   Status s = cluster.Start();
   DPR_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());

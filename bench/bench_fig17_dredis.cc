@@ -19,6 +19,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig17_dredis");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<uint32_t> shard_counts =
       config.quick ? std::vector<uint32_t>{1, 2, 4}

@@ -16,6 +16,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig18_dredis_latency");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   const std::vector<std::pair<std::string, RedisDeployment>> deployments = {
       {"redis", RedisDeployment::kDirect},

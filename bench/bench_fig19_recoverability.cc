@@ -139,6 +139,7 @@ double RunDFasterMode(RecoverabilityMode mode, const BenchConfig& config) {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig19_recoverability");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   printf("\n=== Figure 19: throughput vs recoverability guarantee ===\n");
   ResultTable table({"system", "none", "eventual", "dpr", "sync"});

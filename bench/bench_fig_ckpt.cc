@@ -143,6 +143,7 @@ PhaseBResult RunPhaseBArm(const CkptPolicy& policy, bool hot,
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "fig_ckpt");
+  flags.RejectUnknown();
   json.RecordConfig(config);
 
   // --- Phase A: persisted bytes per checkpoint, full vs delta ---

@@ -209,6 +209,7 @@ void Run(const Flags& flags) {
   const uint32_t kv_ops =
       static_cast<uint32_t>(flags.GetInt("kv_ops", 32));
   const uint64_t duration_ms = flags.GetInt("duration_ms", 800);
+  flags.RejectUnknown();
   json.artifact().SetConfig("window", static_cast<uint64_t>(window));
   json.artifact().SetConfig("kv_ops", static_cast<uint64_t>(kv_ops));
   json.artifact().SetConfig("point_duration_ms", duration_ms);

@@ -17,6 +17,7 @@ namespace {
 void Run(const Flags& flags) {
   const BenchConfig config = BenchConfig::FromFlags(flags);
   BenchJsonOutput json(flags, "tracking_plane");
+  flags.RejectUnknown();
   json.RecordConfig(config);
   for (bool remote : {false, true}) {
     ClusterOptions options;
@@ -57,7 +58,7 @@ void Run(const Flags& flags) {
 
 int main(int argc, char** argv) {
   dpr::Flags flags(argc, argv);
-  printf("bench_tracking_plane (--duration_ms/--threads control load)\n");
+  printf("bench_tracking_plane (--duration_ms/--client_threads control load)\n");
   dpr::Run(flags);
   return 0;
 }

@@ -15,6 +15,8 @@
 
 #include <csignal>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/flags.h"
@@ -66,9 +68,13 @@ int RunClient(const Flags& flags, uint32_t num_workers) {
   config.batch_size = 8;
   config.window = 64;
   DFasterClient client(config);
+  std::vector<std::string> addrs;
   for (uint32_t i = 0; i < num_workers; ++i) {
-    const std::string addr =
-        flags.GetString("worker" + std::to_string(i), "");
+    addrs.push_back(flags.GetString("worker" + std::to_string(i), ""));
+  }
+  flags.RejectUnknown();
+  for (uint32_t i = 0; i < num_workers; ++i) {
+    const std::string& addr = addrs[i];
     std::unique_ptr<RpcConnection> conn;
     for (int attempt = 0;; ++attempt) {
       if (ConnectTcp(addr, &conn).ok()) break;
@@ -102,6 +108,7 @@ int RunClient(const Flags& flags, uint32_t num_workers) {
 
 int RunDemo(const Flags& flags) {
   const auto base = static_cast<uint16_t>(flags.GetInt("base_port", 23450));
+  flags.RejectUnknown();
   constexpr uint32_t kWorkers = 2;
   std::vector<pid_t> children;
 
@@ -119,9 +126,6 @@ int RunDemo(const Flags& flags) {
   }
 
   // Parent acts as the client.
-  const char* argv_like[] = {"demo"};
-  Flags client_flags(1, const_cast<char**>(argv_like));
-  (void)client_flags;
   DFasterClientConfig config;
   config.num_workers = kWorkers;
   config.batch_size = 8;
@@ -183,12 +187,16 @@ int main(int argc, char** argv) {
   const auto num_workers =
       static_cast<uint32_t>(flags.GetInt("workers", 2));
   if (role == "coordinator") {
-    return RunCoordinator(static_cast<uint16_t>(flags.GetInt("port", 23450)));
+    const auto port = static_cast<uint16_t>(flags.GetInt("port", 23450));
+    flags.RejectUnknown();
+    return RunCoordinator(port);
   }
   if (role == "worker") {
-    return RunWorker(static_cast<WorkerId>(flags.GetInt("id", 0)),
-                     num_workers, flags.GetString("finder", ""),
-                     static_cast<uint16_t>(flags.GetInt("port", 23451)));
+    const auto id = static_cast<WorkerId>(flags.GetInt("id", 0));
+    const std::string finder = flags.GetString("finder", "");
+    const auto port = static_cast<uint16_t>(flags.GetInt("port", 23451));
+    flags.RejectUnknown();
+    return RunWorker(id, num_workers, finder, port);
   }
   if (role == "client") {
     return RunClient(flags, num_workers);

@@ -35,20 +35,24 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-bool Flags::Has(const std::string& key) const {
-  return values_.count(key) > 0;
+const std::string* Flags::Find(const std::string& key) const {
+  read_.insert(key);
+  auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
 }
+
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
 
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* found = Find(key);
+  return found == nullptr ? default_value : *found;
 }
 
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  const std::string& text = it->second;
+  const std::string* found = Find(key);
+  if (found == nullptr) return default_value;
+  const std::string& text = *found;
   const char* end = text.data() + text.size();
   int64_t value = 0;
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
@@ -57,9 +61,9 @@ int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  const std::string& text = it->second;
+  const std::string* found = Find(key);
+  if (found == nullptr) return default_value;
+  const std::string& text = *found;
   char* end = nullptr;
   errno = 0;
   const double value = strtod(text.c_str(), &end);
@@ -70,12 +74,22 @@ double Flags::GetDouble(const std::string& key, double default_value) const {
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  const std::string& text = it->second;
+  const std::string* found = Find(key);
+  if (found == nullptr) return default_value;
+  const std::string& text = *found;
   if (text == "true" || text == "1" || text == "yes") return true;
   if (text == "false" || text == "0" || text == "no") return false;
   RejectValue(key, text, "true/false, 1/0 or yes/no");
+}
+
+void Flags::RejectUnknown() const {
+  for (const auto& [key, value] : values_) {
+    (void)value;
+    if (read_.count(key) == 0) {
+      fprintf(stderr, "unknown flag --%s\n", key.c_str());
+      std::exit(2);
+    }
+  }
 }
 
 }  // namespace dpr

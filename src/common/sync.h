@@ -90,8 +90,9 @@ enum class LockRank : int {
                         // flush paths holding kStorageWal or kMetadata; may
                         // itself take kStorage via Device::SubmitFsync)
   kStorageWal = 55,     // WriteAheadLog tail (held across device writes)
-  kExecutor = 58,       // shared request executor queue (submitted to while
-                        // holding transport locks, never the reverse)
+  kExecutor = 58,       // in-memory transport's request executor queue
+                        // (submitted to while holding transport locks,
+                        // never the reverse)
   kTransport = 60,      // tcp/in-memory transports (output queues, pending)
   kTransportLoop = 62,  // event-loop post queue + server conn registry (may
                         // precede per-conn kTransport locks on loop threads)

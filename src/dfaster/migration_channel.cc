@@ -84,7 +84,8 @@ Status RpcMigrationChannel::Install(const KvBatchRequest& request,
   std::string response_bytes;
   {
     MutexLock lock(mu_);
-    DPR_RETURN_NOT_OK(connection_->Call(payload, &response_bytes));
+    DPR_RETURN_NOT_OK(
+        connection_->Call(payload, &response_bytes, kInstallTimeoutUs));
   }
   if (!response->DecodeFrom(response_bytes)) {
     return Status::IOError("undecodable migration-install response");

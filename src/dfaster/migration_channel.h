@@ -28,7 +28,7 @@ class DFasterWorker;
 /// and equal-rank nesting is an ordering bug the runtime rank checker aborts
 /// on. LocalMigrationChannel hops to a dedicated installer thread;
 /// RpcMigrationChannel crosses a connection, so the target executes on its
-/// transport's executor pool.
+/// transport's thread (a TCP loop, or the in-memory executor pool).
 class MigrationChannel {
  public:
   virtual ~MigrationChannel() = default;
@@ -75,10 +75,17 @@ class LocalMigrationChannel : public MigrationChannel {
 
 /// Wire channel: encodes install batches and sends them over an
 /// RpcConnection (in-memory or TCP), so harness migrations exercise the same
-/// epoll transport client traffic uses. The target's RPC dispatch routes
+/// transport client traffic uses. The target's RPC dispatch routes
 /// install-flagged batches around the ownership check.
+///
+/// Install waits at most kInstallTimeoutUs. A forward runs on the source's
+/// server thread, so two opposite-direction migrations under write load can
+/// each block the loop (or pool) the other's install needs; the bounded wait
+/// turns that cycle into a failed forward, which aborts the migration.
 class RpcMigrationChannel : public MigrationChannel {
  public:
+  static constexpr uint64_t kInstallTimeoutUs = 2'000'000;
+
   RpcMigrationChannel(WorkerId target_id,
                       std::unique_ptr<RpcConnection> connection)
       : target_id_(target_id), connection_(std::move(connection)) {}

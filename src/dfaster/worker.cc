@@ -392,6 +392,13 @@ void DFasterWorker::RunOps(const KvBatchRequest& request, Version /*version*/,
     ApplyOp(session.get(), op, &out);
     if (seal.channel == nullptr) continue;  // unsealed concurrently: no fwd
     if (out.result != KvResult::kOk || op.type == KvOp::Type::kRead) continue;
+    if (seal.failed.load(std::memory_order_relaxed)) {
+      // An earlier forward failed, so the migration cannot complete: skip
+      // the install rather than wait out another bounded one while holding
+      // the version latch. The op's fate at the target is just as unknown.
+      out.result = KvResult::kError;
+      continue;
+    }
     KvBatchRequest forward;
     forward.install = true;
     forward.header = MakeInstallHeader(partition);

@@ -61,10 +61,11 @@ class DFasterWorker {
 
   /// Executes an encoded KvBatchRequest; used by both the RPC handler and
   /// co-located clients (which call it directly, skipping the network).
-  /// Safe under concurrent invocation: the TCP transport runs handlers on a
-  /// shared executor pool, so two batches — even from the same connection —
-  /// may execute simultaneously. Version admission and per-key latching are
-  /// handled by the DPR worker and the store underneath.
+  /// Safe under concurrent invocation: TCP loops, the in-memory executor
+  /// pool and co-located clients may run batches simultaneously. Version
+  /// admission and per-key latching are handled by the DPR worker and the
+  /// store underneath. On a TCP loop it blocks only on other threads: the
+  /// admission backoff and a sealed partition's bounded forward.
   void ExecuteBatch(Slice request, std::string* response);
 
   /// Typed entry for co-located clients (avoids one encode/decode round).

@@ -17,9 +17,9 @@ namespace dpr {
 
 /// Serves an unmodified RespStore ("Redis") over RPC: each message is an
 /// encoded command batch, each response the encoded replies. The transport
-/// invokes the handler from its shared executor pool, so concurrent batches
-/// hit the store simultaneously; RespStore's internal map/save locks make
-/// that safe.
+/// may invoke the handler from several threads at once (TCP loops, the
+/// in-memory executor pool), so concurrent batches hit the store
+/// simultaneously; RespStore's internal map/save locks make that safe.
 class RespStoreServer {
  public:
   RespStoreServer(RespStore* store, std::unique_ptr<RpcServer> server);

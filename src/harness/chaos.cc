@@ -202,7 +202,6 @@ class ChaosRunner {
                                        : NetBackend::kEpoll;
         TcpServerOptions server_options;
         server_options.io_threads = 2;
-        server_options.executor_threads = 2;
         server_options.backend = backend;
         finder_server_ = std::make_unique<DprFinderServer>(
             local_finder_.get(), MakeTcpServer(0, server_options));

@@ -78,7 +78,7 @@ struct ClusterOptions {
   uint64_t finder_interval_us = 10000;
   TransportKind transport = TransportKind::kInMemory;
   uint64_t net_latency_us = 0;  // in-memory transport only
-  /// TCP transport only: event-loop / executor sizing for every server the
+  /// TCP transport only: event-loop sizing and backend for every server the
   /// cluster brings up (workers and the remote finder).
   TcpServerOptions tcp;
   /// Run the finder behind a DprFinderServer and have workers + cluster

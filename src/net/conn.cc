@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/hash.h"
-#include "net/executor.h"
 #include "obs/metrics.h"
 
 namespace dpr {
@@ -24,6 +23,9 @@ Gauge* LoopThreads() {
   static Gauge* const g = MetricsRegistry::Default().gauge("net.loop.threads");
   return g;
 }
+
+// The loop whose thread this is; null off loop threads.
+thread_local const Loop* current_loop = nullptr;
 
 }  // namespace
 
@@ -47,7 +49,10 @@ Status Loop::Start() {
     MutexLock lock(post_mu_);
     accepting_posts_ = true;
   }
-  thread_ = std::thread([this] { Run(); });
+  thread_ = std::thread([this] {
+    current_loop = this;
+    Run();
+  });
   return Status::OK();
 }
 
@@ -78,6 +83,8 @@ bool Loop::Post(std::function<void()> fn) {
   Wake();
   return true;
 }
+
+bool Loop::InLoopThread() const { return current_loop == this; }
 
 void Loop::Wake() {
   if (wake_pending_.exchange(true, std::memory_order_relaxed)) return;
@@ -129,9 +136,14 @@ bool Conn::Send(OutFrame frame, bool duplicate) {
     if (flush_scheduled_) return true;
     flush_scheduled_ = true;
   }
-  return loop_->Post([self = shared_from_this()] {
+  auto flush = [self = shared_from_this()] {
     if (!self->closed_) self->Flush();
-  });
+  };
+  if (loop_->InLoopThread()) {
+    loop_->Defer(std::move(flush));
+    return true;
+  }
+  return loop_->Post(std::move(flush));
 }
 
 void Conn::Close(const Status& reason) {
@@ -226,19 +238,14 @@ void Conn::FinishClose() {
 
 namespace {
 
-// Lifetime: the registry holds each connection until it fully closed, and
-// in-flight executor tasks hold their own reference, so a task finishing
-// after the socket closed just has its response refused.
+// Lifetime: the registry holds each connection until it fully closed.
+// Requests run inline on the connection's loop thread, so a handler's Send
+// always finds its connection alive.
 class TcpServer final : public RpcServer, public ConnOwner {
  public:
   TcpServer(uint16_t port, const TcpServerOptions& options,
             std::vector<std::unique_ptr<Loop>> loops)
-      : requested_port_(port), options_(options), loops_(std::move(loops)) {
-    if (options_.executor_threads == 0) options_.executor_threads = 1;
-    if (options_.executor_queue_capacity == 0) {
-      options_.executor_queue_capacity = 1;
-    }
-  }
+      : requested_port_(port), options_(options), loops_(std::move(loops)) {}
 
   ~TcpServer() override { Stop(); }
 
@@ -262,10 +269,6 @@ class TcpServer final : public RpcServer, public ConnOwner {
     if (listen(listen_fd_, 128) != 0) {
       return Status::IOError(std::string("listen: ") + strerror(errno));
     }
-    executor_ = std::make_unique<Executor>(ExecutorOptions{
-        options_.executor_threads, options_.executor_queue_capacity,
-        "net.tcp.executor"});
-    executor_->Start();
     for (auto& loop : loops_) {
       Loop* l = loop.get();
       l->set_on_stop([this, l] { CloseLoopConns(l); });
@@ -282,10 +285,9 @@ class TcpServer final : public RpcServer, public ConnOwner {
 
   void Stop() override {
     if (stop_.exchange(true)) return;
-    // Stop the loops first: each closes its own connections on its thread
-    // (the on_stop hook) and drains its kernel ops before joining, so the
-    // teardown below is single-threaded. Late executor responses find
-    // their connection closed and are dropped.
+    // Each loop finishes the request it is running, closes its own
+    // connections on its thread (the on_stop hook) and drains its kernel ops
+    // before joining, so the teardown below is single-threaded.
     for (auto& loop : loops_) {
       if (loop->Stop()) LoopThreads()->Sub(1);
     }
@@ -293,9 +295,6 @@ class TcpServer final : public RpcServer, public ConnOwner {
       close(listen_fd_);
       listen_fd_ = -1;
     }
-    // Drain the executor: every accepted request task still runs (tasks
-    // observe stop_ and skip the handler).
-    if (executor_) executor_->Shutdown();
     // Empty unless a loop never started.
     std::map<Conn*, std::shared_ptr<Conn>> conns;
     {
@@ -309,26 +308,21 @@ class TcpServer final : public RpcServer, public ConnOwner {
     return "127.0.0.1:" + std::to_string(bound_port_);
   }
 
-  // Loop thread: hand a decoded request to the shared executor. Submit
-  // blocks while the bounded queue is full — the loop thread pausing here
-  // is precisely the read-throttle the bounded intake exists to provide.
+  // Loop thread: runs the request to completion, reading it in place in
+  // the receive buffer. The loop reads nothing more while the handler runs,
+  // which is the intake's backpressure; the response flushes when this I/O
+  // pass ends. Send fails only once the connection is closing, when the
+  // response has nowhere to go.
   void OnFrame(Conn* conn, uint64_t id, const char* payload,
                size_t len) override {
-    (void)executor_->Submit([this, conn = conn->shared_from_this(), id,
-                             request = std::string(payload, len)] {
-      if (stop_.load(std::memory_order_acquire)) return;
-      std::string response;
-      handler_(Slice(request), &response);
-      (void)conn->Send(MakeFrame(id, std::move(response)));
-    });
-    // Submit and Send fail only once the server or the connection is
-    // closing, when the response has nowhere to go.
+    std::string response;
+    handler_(Slice(payload, len), &response);
+    (void)conn->Send(MakeFrame(id, std::move(response)));
   }
 
   void OnClosed(Conn* /*conn*/, const Status& /*reason*/) override {}
 
-  // Drops the registry ref. The object survives while executor tasks still
-  // hold it.
+  // Drops the registry ref.
   void OnFullyClosed(Conn* conn) override {
     std::shared_ptr<Conn> ref;
     {
@@ -370,13 +364,13 @@ class TcpServer final : public RpcServer, public ConnOwner {
   }
 
   const uint16_t requested_port_;
-  TcpServerOptions options_;
+  const TcpServerOptions options_;
   uint16_t bound_port_ = 0;
   int listen_fd_ = -1;
   RpcHandler handler_;
-  // acquire/release: executor tasks read it to skip handlers during Stop.
+  // seq_cst exchange makes Stop idempotent across threads; Start clears it
+  // before any loop runs. It publishes no other data.
   std::atomic<bool> stop_{true};
-  std::unique_ptr<Executor> executor_;
   const std::vector<std::unique_ptr<Loop>> loops_;
   size_t next_loop_ = 0;  // loop-0 thread only (accept path)
   Mutex conns_mu_{LockRank::kTransportLoop, "net.tcp.conns"};

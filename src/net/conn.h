@@ -11,7 +11,7 @@
 //   * Conn: the outbound OutFrame queue with its flush-scheduled, writable
 //     and torn-frame bookkeeping, the inbound carry buffer feeding
 //     ParseFrameStream, and the ReadGate;
-//   * NewServer / NewClient: the listener, connection registry, executor
+//   * NewServer / NewClient: the listener, connection registry, inline
 //     dispatch and stop order; the pending-id map and CallAsync with its
 //     fault probes.
 
@@ -72,6 +72,8 @@ class Loop {
 
   /// Loop thread: true once shutdown began.
   bool stopping() const { return stopping_; }
+  /// Whether the caller is this loop's own thread.
+  bool InLoopThread() const;
 
   /// Loop-thread hook run first during Stop; the server closes the
   /// connections pinned to this loop here. Set before Start.
@@ -156,8 +158,9 @@ class Conn : public std::enable_shared_from_this<Conn> {
   Loop* loop() const { return loop_; }
 
   /// Any thread. Queues `frame` — twice when `duplicate`, the fault plane's
-  /// duplicated datagram — and posts a flush unless one is already
-  /// scheduled. False once the connection closed or its loop stopped.
+  /// duplicated datagram — and schedules a flush unless one is: deferred to
+  /// the end of the pass on the loop's own thread, posted from any other.
+  /// False once the connection closed or its loop stopped.
   bool Send(OutFrame frame, bool duplicate = false);
 
   /// Loop thread: start receiving.
@@ -210,16 +213,16 @@ class Conn : public std::enable_shared_from_this<Conn> {
   Mutex out_mu_{LockRank::kTransport, "net.conn.out"};
   std::deque<OutFrame> out_ GUARDED_BY(out_mu_);
   size_t out_bytes_ GUARDED_BY(out_mu_) = 0;
-  // True while a flush is guaranteed to run (posted nudge, in-flight send
-  // or armed writability); collapses redundant Posts under pipelining.
+  // True while a flush is guaranteed to run (nudge, in-flight send or
+  // armed writability); collapses redundant nudges under pipelining.
   bool flush_scheduled_ GUARDED_BY(out_mu_) = false;
   // Cleared at close: late frames are refused instead of queueing forever.
   bool writable_ GUARDED_BY(out_mu_) = true;
 };
 
 /// Server over `loops` (at least one): the listener lives on loops[0],
-/// accepted sockets spread round-robin, requests run on a shared bounded
-/// executor.
+/// accepted sockets spread round-robin, and each request runs to completion
+/// on its connection's loop thread.
 std::unique_ptr<RpcServer> NewServer(uint16_t port,
                                      const TcpServerOptions& options,
                                      std::vector<std::unique_ptr<Loop>> loops);

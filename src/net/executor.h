@@ -24,11 +24,9 @@ struct ExecutorOptions {
   const char* name = "net.executor";
 };
 
-/// Bounded work queue + fixed worker pool decoupling request execution from
-/// transport I/O threads: an epoll loop (or an in-memory client thread)
-/// enqueues decoded requests here so a slow handler never stalls unrelated
-/// connections, and the server's thread count stays fixed regardless of
-/// connection count. Reusable by any subsystem that needs the same shape.
+/// Bounded work queue + fixed worker pool: each in-memory transport server
+/// runs its requests on one, so the client threads that submit them never
+/// execute handlers and the server's thread count stays fixed.
 ///
 /// Task contract: a submitted task either runs to completion on a worker
 /// (Shutdown drains the queue before joining) or was never accepted
@@ -58,8 +56,6 @@ class Executor {
   /// executor is shutting down.
   bool TrySubmit(std::function<void()> task);
 
-  uint32_t thread_count() const { return options_.threads; }
-  size_t queue_capacity() const { return options_.queue_capacity; }
   size_t queue_depth() const;
 
  private:

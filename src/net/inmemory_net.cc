@@ -33,15 +33,21 @@ const InMemNetMetrics& Metrics() {
 
 }  // namespace
 
-Status RpcConnection::Call(Slice request, std::string* response) {
-  std::promise<Status> done;
-  auto future = done.get_future();
-  CallAsync(request.ToString(), [&](Status s, Slice resp) {
-    if (s.ok() && response != nullptr) response->assign(resp.data(),
-                                                        resp.size());
-    done.set_value(std::move(s));
+Status RpcConnection::Call(Slice request, std::string* response,
+                           uint64_t timeout_us) {
+  // Shared with the callback, which may outlive a timed-out wait.
+  auto done = std::make_shared<std::promise<std::pair<Status, std::string>>>();
+  auto future = done->get_future();
+  CallAsync(request.ToString(), [done](Status s, Slice resp) {
+    done->set_value({s, s.ok() ? resp.ToString() : std::string()});
   });
-  return future.get();
+  if (timeout_us > 0 && future.wait_for(std::chrono::microseconds(
+                            timeout_us)) == std::future_status::timeout) {
+    return Status::TimedOut("rpc call timed out");
+  }
+  auto [s, bytes] = future.get();
+  if (s.ok() && response != nullptr) *response = std::move(bytes);
+  return s;
 }
 
 // ------------------------------------------------------------------- Server

@@ -19,18 +19,17 @@ struct InMemoryNetOptions {
   /// execution threads decoupled from the client).
   uint32_t server_threads = 2;
   /// Bounded intake of the per-server executor; senders block (backpressure)
-  /// while it is full, mirroring the TCP transport's bounded executor.
+  /// while it is full.
   size_t queue_capacity = 4096;
   /// One-way latency injected before a request is handled, in microseconds
   /// (0 = none). Models datacenter RTT without real sockets.
   uint64_t latency_us = 0;
 };
 
-/// A process-local message fabric: named endpoints whose requests run on the
-/// same bounded Executor abstraction as the TCP transport (see
-/// net/executor.h), with optional injected latency. The default transport
-/// for tests and single-box cluster benches; the same client/server code
-/// runs unchanged over TcpNet (see tcp_net.h).
+/// A process-local message fabric: named endpoints whose requests run on a
+/// bounded Executor (net/executor.h), with optional injected latency. The
+/// default transport for tests and single-box cluster benches; the same
+/// client/server code runs unchanged over TcpNet (see tcp_net.h).
 class InMemoryNetwork {
  public:
   explicit InMemoryNetwork(InMemoryNetOptions options = {});

@@ -12,10 +12,11 @@
 namespace dpr {
 
 /// Request handler invoked by a server for each incoming message; fills
-/// `response`. Handlers run on the transport's shared executor pool and may
-/// be invoked concurrently — including for two requests pipelined on the
-/// *same* connection, which may also complete out of order (responses are
-/// matched to requests by frame id, never by arrival order).
+/// `response`. Over TCP it runs on its connection's loop, in arrival order;
+/// it may block only on work another thread finishes (disk, another
+/// server's loop, the client loop), and stalls only its own loop. The
+/// in-memory transport runs handlers on an executor pool, concurrently and
+/// possibly out of order even for one connection.
 using RpcHandler = std::function<void(Slice request, std::string* response)>;
 
 /// One message endpoint (a D-FASTER worker or D-Redis proxy listens here).
@@ -41,8 +42,9 @@ class RpcConnection {
   /// thread) with the response or an error.
   virtual void CallAsync(std::string request, ResponseCallback callback) = 0;
 
-  /// Blocking convenience wrapper over CallAsync.
-  Status Call(Slice request, std::string* response);
+  /// Blocking wrapper over CallAsync; a nonzero `timeout_us` bounds the
+  /// wait (TimedOut; a later response is discarded).
+  Status Call(Slice request, std::string* response, uint64_t timeout_us = 0);
 };
 
 }  // namespace dpr

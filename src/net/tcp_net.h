@@ -29,24 +29,19 @@ enum class NetBackend {
 ///
 /// Both backends drive one connection core (net/conn.h) and differ only in
 /// how bytes move. Server: a fixed set of I/O threads own the sockets
-/// (connections pinned round-robin), decode frames, and hand execution to a
-/// shared bounded Executor, so server thread count is
-/// O(io_threads + executor_threads) regardless of connection count and a
-/// slow handler never stalls unrelated connections. Responses queue per
-/// connection and are flushed vectored — every frame ready at flush time
-/// coalesces into one sendmsg syscall (epoll) or one SENDMSG SQE (uring),
-/// header + payload iovecs pointed at the queued frames in place. A
-/// connection whose output queue exceeds its byte budget stops being read
-/// until the queue drains below half the budget (backpressure hysteresis;
-/// see internal::ReadGate).
+/// (connections pinned round-robin), decode frames, and run each request
+/// inline on the connection's loop (the RpcHandler contract), so server
+/// thread count is io_threads regardless of connection count. Responses
+/// queue per connection and flush vectored when the loop's I/O pass ends —
+/// every frame ready then coalesces into one sendmsg syscall (epoll) or one
+/// SENDMSG SQE (uring), header + payload iovecs pointed at the queued frames
+/// in place. A connection whose output queue exceeds its byte budget stops
+/// being read until the queue drains below half the budget (backpressure
+/// hysteresis; see internal::ReadGate).
 struct TcpServerOptions {
-  /// Event-loop threads owning sockets (epoll loops or uring rings). The
-  /// listener lives on loop 0.
+  /// Event-loop threads owning sockets and running their requests (epoll
+  /// loops or uring rings). The listener lives on loop 0.
   uint32_t io_threads = 2;
-  /// Shared request-executor worker threads.
-  uint32_t executor_threads = 2;
-  /// Bounded executor intake; decoded requests beyond this throttle reads.
-  size_t executor_queue_capacity = 4096;
   /// Per-connection output-queue byte budget: above it the connection's
   /// reads pause, below half of it they resume.
   size_t max_output_queue_bytes = 4 << 20;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <thread>
@@ -297,6 +299,72 @@ TEST(ClusterPlaneTest, RefreshOwnershipUnderConcurrentFlips) {
   ASSERT_TRUE(session->WaitForAll().ok());
   EXPECT_GE(value.load(), last_acked.load());
   EXPECT_GE(monitor.observed(), 6u);
+}
+
+// Two opposite-direction migrations under write load over TCP with one loop
+// per server. Each sealed-partition forward runs on its source's only loop
+// and waits for the other server's loop, which may itself be forwarding
+// back: without a bound on the install wait both loops block for good. The
+// bounded install turns the cycle into a failed forward, so each migration
+// finishes or aborts and the cluster keeps serving.
+TEST(ClusterPlaneTest, OppositeTcpMigrationsOnOneLoopNeverHang) {
+  ClusterOptions options = Opts();
+  options.transport = TransportKind::kTcp;
+  options.tcp.io_threads = 1;
+  DFasterCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const uint32_t vp0 = PartitionOnWorker(cluster, 0);
+  const uint32_t vp1 = PartitionOnWorker(cluster, 1);
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (uint32_t vp : {vp0, vp1}) {
+    writers.emplace_back([&cluster, &stop, vp] {
+      auto client = cluster.NewClient(8, 64);
+      auto session = client->NewSession(100 + vp);
+      const uint64_t key = KeyInPartition(vp);
+      for (uint64_t i = 1; !stop.load(); ++i) {
+        for (int k = 0; k < 32; ++k) session->Upsert(key, i * 32 + k);
+        (void)session->WaitForAll(5000);
+      }
+    });
+  }
+  SleepMicros(50'000);  // both write streams running
+
+  std::atomic<int> finished{0};
+  Status s0;
+  Status s1;
+  std::thread m0([&] {
+    s0 = cluster.MigratePartition(vp0, 1);
+    finished.fetch_add(1);
+  });
+  std::thread m1([&] {
+    s1 = cluster.MigratePartition(vp1, 0);
+    finished.fetch_add(1);
+  });
+  Stopwatch timer;
+  while (finished.load() < 2 && timer.ElapsedMillis() < 60'000) {
+    SleepMicros(10'000);
+  }
+  if (finished.load() < 2) {
+    // The loops are wedged and nothing can be joined or torn down.
+    fprintf(stderr, "opposite migrations hung: %d of 2 returned after 60 s\n",
+            finished.load());
+    std::abort();
+  }
+  m0.join();
+  m1.join();
+  stop.store(true);
+  for (auto& w : writers) w.join();
+  printf("migrations returned in %.2f s: %s / %s\n",
+         timer.ElapsedSeconds(), s0.ToString().c_str(),
+         s1.ToString().c_str());
+
+  // Whatever each migration's outcome, both servers still answer.
+  auto client = cluster.NewClient(1, 8);
+  auto session = client->NewSession(9);
+  for (uint32_t vp : {vp0, vp1}) session->Upsert(KeyInPartition(vp), 7);
+  EXPECT_TRUE(session->WaitForAll(10000).ok());
 }
 
 }  // namespace

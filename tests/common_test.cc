@@ -298,6 +298,18 @@ TEST(FlagsDeathTest, MalformedBoolExits) {
               "--quick");
 }
 
+// A flag name the binary never read exits naming it; read ones pass.
+TEST(FlagsDeathTest, UnknownFlagExits) {
+  const char* argv[] = {"prog", "--duraton_ms=500", "--quick=false"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_FALSE(flags.GetBool("quick", true));
+  EXPECT_EQ(flags.GetInt("duration_ms", 1000), 1000);
+  EXPECT_EXIT(flags.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --duraton_ms");
+  EXPECT_EQ(flags.GetInt("duraton_ms", 0), 500);
+  flags.RejectUnknown();  // every flag given has now been read
+}
+
 TEST(LatchTest, SpinLatchMutualExclusion) {
   SpinLatch latch;
   int counter = 0;

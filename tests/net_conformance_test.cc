@@ -1,10 +1,11 @@
 // Backend-parameterized transport conformance suite.
 //
 // Both TCP backends (epoll event loop, io_uring ring loop) must keep the
-// same observable contracts: request/response framing, pipelining, the
-// O(io_threads + executor_threads) server thread count, a client thread
-// count independent of connection count, pipelined soak, bounded-executor
-// read throttling, torn-frame poisoning, partial-write recovery under
+// same observable contracts: request/response framing, pipelining, a server
+// thread count of io_threads, a client thread count independent of
+// connection count, pipelined soak, handlers that run inline on their
+// connection's loop and stall only that loop, torn-frame poisoning,
+// partial-write recovery under
 // send-buffer pressure, read-backpressure hysteresis, and client fault
 // probes. Every test here runs once per backend; the io_uring instantiation
 // skips cleanly when the kernel lacks the feature set (the skip message says
@@ -176,12 +177,13 @@ void RawCall(int fd, uint64_t id, const std::string& payload,
   }
 }
 
-// The point of the loop architecture, on either backend: server-side thread
-// count is O(io_threads + executor_threads), not O(connections). 64 live
+// The point of the loop architecture, on either backend: the server's
+// threads are its io_threads loops, which also run the requests, and 64 live
 // connections must not add a single thread beyond what the first used.
 TEST_P(NetConformanceTest, ServerThreadCountIndependentOfConnectionCount) {
-  auto server = MakeServer(TcpServerOptions{.io_threads = 2,
-                                            .executor_threads = 2});
+  const int before = CountProcessThreads();
+  ASSERT_GT(before, 0);
+  auto server = MakeServer(TcpServerOptions{.io_threads = 2});
   ASSERT_TRUE(server->Start(Echo).ok());
 
   std::vector<int> fds;
@@ -190,7 +192,7 @@ TEST_P(NetConformanceTest, ServerThreadCountIndependentOfConnectionCount) {
   RawCall(fds[0], 1, "warmup", &echo);
   EXPECT_EQ(echo, "warmup!");
   const int baseline = CountProcessThreads();
-  ASSERT_GT(baseline, 0);
+  EXPECT_EQ(baseline - before, 2);
 
   constexpr int kConns = 64;
   for (int i = 1; i < kConns; ++i) {
@@ -210,8 +212,7 @@ TEST_P(NetConformanceTest, ServerThreadCountIndependentOfConnectionCount) {
 // backend shares one loop thread, so 64 live connections may add only that
 // lazily started loop, never a thread per connection.
 TEST_P(NetConformanceTest, ClientThreadCountIndependentOfConnectionCount) {
-  auto server = MakeServer(TcpServerOptions{.io_threads = 2,
-                                            .executor_threads = 2});
+  auto server = MakeServer(TcpServerOptions{.io_threads = 2});
   ASSERT_TRUE(server->Start(Echo).ok());
   const int baseline = CountProcessThreads();
   ASSERT_GT(baseline, 0);
@@ -313,21 +314,23 @@ TEST_P(NetConformanceTest, PipelinedSoakCompletesEveryCall) {
   server->Stop();
 }
 
-// A tiny executor intake forces the loop thread to park in Submit while
-// the queue is full (the bounded-intake read throttle); every pipelined
-// request must still complete.
-TEST_P(NetConformanceTest, SmallExecutorStillServes) {
-  auto server = MakeServer(TcpServerOptions{.io_threads = 1,
-                                            .executor_threads = 1,
-                                            .executor_queue_capacity = 4});
-  ASSERT_TRUE(server->Start(Echo).ok());
+// One loop runs a 1 ms handler inline: the loop reads nothing while it
+// executes, yet 100 calls pipelined into that backlog all complete.
+TEST_P(NetConformanceTest, PipelinedBurstThroughSlowHandler) {
+  auto server = MakeServer(TcpServerOptions{.io_threads = 1});
+  ASSERT_TRUE(server->Start([](Slice request, std::string* response) {
+    SleepMicros(1000);
+    Echo(request, response);
+  }).ok());
   auto conn = Connect(server->address());
   ASSERT_NE(conn, nullptr);
   std::atomic<int> done{0};
-  constexpr int kCalls = 100;  // far more than the executor's intake of 4
+  std::atomic<int> bad{0};
+  constexpr int kCalls = 100;
   for (int i = 0; i < kCalls; ++i) {
-    conn->CallAsync("q" + std::to_string(i), [&](Status s, Slice) {
-      EXPECT_TRUE(s.ok());
+    const std::string tag = "q" + std::to_string(i);
+    conn->CallAsync(tag, [&, tag](Status s, Slice response) {
+      if (!s.ok() || response.view() != tag + "!") bad.fetch_add(1);
       done.fetch_add(1);
     });
   }
@@ -336,7 +339,55 @@ TEST_P(NetConformanceTest, SmallExecutorStillServes) {
     SleepMicros(1000);
   }
   EXPECT_EQ(done.load(), kCalls);
+  EXPECT_EQ(bad.load(), 0);
   conn.reset();
+  server->Stop();
+}
+
+// A handler blocked on connection A stalls only A's loop: connection B,
+// pinned round-robin to the other loop, is still served meanwhile.
+TEST_P(NetConformanceTest, SlowHandlerStallsOnlyItsLoop) {
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocked{false};
+  auto server = MakeServer(TcpServerOptions{.io_threads = 2});
+  ASSERT_TRUE(server->Start([&](Slice request, std::string* response) {
+    if (request == Slice("block")) {
+      blocked.store(true);
+      Stopwatch held;
+      while (!release.load() && held.ElapsedMillis() < 10000) {
+        SleepMicros(100);
+      }
+    }
+    Echo(request, response);
+  }).ok());
+  // A call on each connection makes sure loop 0, which also accepts, has
+  // adopted both before it blocks: A on loop 0, then B on loop 1.
+  auto conn_a = Connect(server->address());
+  ASSERT_NE(conn_a, nullptr);
+  std::string response;
+  ASSERT_TRUE(conn_a->Call("a", &response).ok());
+  auto conn_b = Connect(server->address());
+  ASSERT_NE(conn_b, nullptr);
+  ASSERT_TRUE(conn_b->Call("b", &response).ok());
+
+  std::atomic<bool> a_done{false};
+  conn_a->CallAsync("block", [&](Status s, Slice) {
+    EXPECT_TRUE(s.ok());
+    a_done.store(true);
+  });
+  Stopwatch timer;
+  while (!blocked.load() && timer.ElapsedMillis() < 10000) SleepMicros(100);
+  ASSERT_TRUE(blocked.load());
+  // B lives on loop 1, which A's handler does not hold.
+  EXPECT_TRUE(conn_b->Call("b2", &response, /*timeout_us=*/5'000'000).ok());
+  EXPECT_EQ(response, "b2!");
+  EXPECT_FALSE(a_done.load());
+  release.store(true);
+  timer.Reset();
+  while (!a_done.load() && timer.ElapsedMillis() < 10000) SleepMicros(100);
+  EXPECT_TRUE(a_done.load());
+  conn_a.reset();
+  conn_b.reset();
   server->Stop();
 }
 
@@ -439,7 +490,6 @@ TEST_P(NetConformanceTest, TornFrameMidFlushPoisonsConnection) {
 TEST_P(NetConformanceTest, BackpressureHysteresisDrainsCompletely) {
   auto server = MakeServer(TcpServerOptions{
       .io_threads = 1,
-      .executor_threads = 2,
       .max_output_queue_bytes = 32 * 1024});  // ~1.5 responses worth
   const std::string blob(20 * 1024, 'b');
   ASSERT_TRUE(server->Start([&blob](Slice req, std::string* resp) {

@@ -155,7 +155,7 @@ TEST(EventLoopTest, ConcurrentPostsNeverStrand) {
   loop->Stop();
 }
 
-// Thread-count, bounded-executor, and torn-frame contracts are covered per
+// Thread-count, inline-handler, and torn-frame contracts are covered per
 // backend in net_conformance_test.cc; only backend-independent connection
 // setup behavior stays here.
 

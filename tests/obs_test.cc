@@ -1,6 +1,7 @@
 // Observability plane: JSON writer/parser, metrics registry, timeline,
 // histogram JSON round-trip, bench artifact schema, and the registry
 // mirroring done by the tracking plane.
+#include <map>
 #include <string>
 #include <vector>
 
@@ -318,20 +319,36 @@ TEST(RegistryMirrorTest, DepTrackerPublishesToRegistry) {
   reg.ResetForTest();
 }
 
-// The transport's event-loop rewrite publishes its health through the
-// registry: epoll wakeups, frames coalesced per flush syscall, executor
-// intake depth, and live-resource gauges that must return to zero once the
-// server stops (loops joined, workers joined, connections closed).
+// Every net.executor.* series and its value; TCP servers run requests
+// inline, so their traffic must leave this unchanged.
+std::map<std::string, int64_t> ExecutorSeries(const MetricsSnapshot& snap) {
+  std::map<std::string, int64_t> series;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind("net.executor.", 0) == 0) {
+      series[name] = static_cast<int64_t>(value);
+    }
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    if (name.rfind("net.executor.", 0) == 0) series[name] = value;
+  }
+  return series;
+}
+
+// The transport's event loop publishes its health through the registry:
+// epoll wakeups, frames coalesced per flush syscall, and live-resource
+// gauges that must return to zero once the server stops (loops joined,
+// connections closed). Requests run inline on the loops, so the executor
+// series do not move.
 TEST(RegistryMirrorTest, EventLoopTransportPublishesToRegistry) {
   auto& reg = MetricsRegistry::Default();
   reg.ResetForTest();
+  const auto executor_before = ExecutorSeries(reg.Snapshot());
 
   // Pinned to the epoll backend: this test asserts the epoll-plane series
   // (net.loop.*, net.tcp.writev_*), which the io_uring backend does not
   // emit. The uring-plane series are covered below.
   TcpServerOptions options;
   options.io_threads = 2;
-  options.executor_threads = 2;
   options.backend = NetBackend::kEpoll;
   auto server = MakeTcpServer(0, options);
   ASSERT_TRUE(server
@@ -356,11 +373,11 @@ TEST(RegistryMirrorTest, EventLoopTransportPublishesToRegistry) {
     // its fixed loop threads are live.
     EXPECT_GT(snap.counters.at("net.loop.wakeups"), 0u);
     EXPECT_EQ(snap.gauges.at("net.loop.threads"), 2);
-    // Executor: one task per request ran; the intake drained back to empty.
-    EXPECT_GE(snap.counters.at("net.executor.tasks"),
+    // Inline dispatch: no executor task ran, and every response frame was
+    // sent.
+    EXPECT_EQ(ExecutorSeries(snap), executor_before);
+    EXPECT_GE(snap.counters.at("net.tcp.frames_sent"),
               static_cast<uint64_t>(kCalls));
-    EXPECT_EQ(snap.gauges.at("net.executor.queue_depth"), 0);
-    EXPECT_EQ(snap.gauges.at("net.executor.threads"), 2);
     // Coalescing flush: vectored syscalls happened, every server response
     // frame went through them, and syscalls never exceed frames.
     EXPECT_GT(snap.counters.at("net.tcp.writev_calls"), 0u);
@@ -379,7 +396,7 @@ TEST(RegistryMirrorTest, EventLoopTransportPublishesToRegistry) {
     const MetricsSnapshot snap = reg.Snapshot();
     // Every live-resource gauge returns to zero on clean shutdown.
     EXPECT_EQ(snap.gauges.at("net.loop.threads"), 0);
-    EXPECT_EQ(snap.gauges.at("net.executor.threads"), 0);
+    EXPECT_EQ(ExecutorSeries(snap), executor_before);
     EXPECT_EQ(snap.gauges.at("net.tcp.server_conns"), 0);
     EXPECT_EQ(snap.gauges.at("net.tcp.output_queue_bytes"), 0);
   }
@@ -398,7 +415,6 @@ TEST(RegistryMirrorTest, UringTransportPublishesToRegistry) {
 
   TcpServerOptions options;
   options.io_threads = 2;
-  options.executor_threads = 2;
   options.backend = NetBackend::kIoUring;
   auto server = MakeTcpServer(0, options);
   ASSERT_TRUE(server
