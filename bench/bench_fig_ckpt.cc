@@ -6,7 +6,10 @@
 // checkpoint a full index image (full_every=1, the historical fold-over)
 // vs the delta chain (full_every=16). Recovery points are identical; only
 // the persisted index bytes differ. Expected: the delta chain persists a
-// small fraction of the full-image bytes per checkpoint.
+// small fraction of the full-image bytes per checkpoint. The table also
+// reports the flush thread's image capture time per checkpoint, for full and
+// delta images: a delta judges dirtiness from per-bucket version stamps, so
+// it should capture in a fraction of a full image's time.
 //
 // Phase B — fsyncs on idle vs hot shards. A controller-driven checkpoint
 // loop runs for a fixed wall-clock window over an idle store and a hot
@@ -62,7 +65,21 @@ struct PhaseAResult {
   uint64_t checkpoints = 0;
   uint64_t index_bytes = 0;
   uint64_t log_bytes = 0;
+  // Flush-thread index-image capture time (faster.checkpoint.image_us),
+  // split by image kind.
+  uint64_t full_images = 0;
+  uint64_t full_image_us = 0;
+  uint64_t delta_images = 0;
+  uint64_t delta_image_us = 0;
 };
+
+// Capture time of the image taken by the last checkpoint (the histogram is
+// process-wide and never reset, so diff its sum across one checkpoint).
+uint64_t ImageUsSum() {
+  const MetricsSnapshot snap = MetricsRegistry::Default().Snapshot();
+  const auto it = snap.histograms.find("faster.checkpoint.image_us");
+  return it == snap.histograms.end() ? 0 : it->second.sum();
+}
 
 PhaseAResult RunPhaseAConfig(uint32_t full_every, uint64_t preload_keys,
                              uint32_t rounds, uint32_t writes_per_round) {
@@ -75,6 +92,7 @@ PhaseAResult RunPhaseAConfig(uint32_t full_every, uint64_t preload_keys,
   Checkpoint(store.get(), /*delta=*/false);
 
   const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  PhaseAResult result;
   uint64_t next_key = 0;
   for (uint32_t r = 0; r < rounds; ++r) {
     // Dirty a 10% working set between checkpoints — the incremental log
@@ -83,10 +101,14 @@ PhaseAResult RunPhaseAConfig(uint32_t full_every, uint64_t preload_keys,
       const uint64_t key = next_key++ % std::max<uint64_t>(preload_keys / 10, 1);
       DPR_CHECK(session->Upsert(key, r).ok());
     }
-    Checkpoint(store.get(), /*delta=*/full_every > 1 && r % full_every != 0);
+    const bool delta = full_every > 1 && r % full_every != 0;
+    const uint64_t image_us_before = ImageUsSum();
+    Checkpoint(store.get(), delta);
+    const uint64_t image_us = ImageUsSum() - image_us_before;
+    ++(delta ? result.delta_images : result.full_images);
+    (delta ? result.delta_image_us : result.full_image_us) += image_us;
   }
   const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
-  PhaseAResult result;
   result.checkpoints = rounds;
   result.index_bytes =
       CounterDelta(before, after, "ckpt.index_bytes_persisted");
@@ -154,7 +176,7 @@ void Run(const Flags& flags) {
          "===\n",
          rounds, static_cast<unsigned long long>(preload_keys));
   ResultTable table({"config", "ckpts", "index KiB/ckpt", "log KiB/ckpt",
-                     "total MiB"});
+                     "total MiB", "full image us", "delta image us"});
   struct { const char* name; uint32_t full_every; } configs[] = {
       {"full-every", 1}, {"delta-chain", 16}};
   double full_index_per_ckpt = 0;
@@ -166,12 +188,23 @@ void Run(const Flags& flags) {
     const double log_per =
         static_cast<double>(r.log_bytes) / r.checkpoints / 1024.0;
     if (c.full_every == 1) full_index_per_ckpt = index_per;
+    auto per_image = [](uint64_t us, uint64_t n) {
+      return n == 0 ? 0.0 : static_cast<double>(us) / n;
+    };
+    const double full_us = per_image(r.full_image_us, r.full_images);
+    const double delta_us = per_image(r.delta_image_us, r.delta_images);
     table.AddRow({c.name, std::to_string(r.checkpoints),
                   ResultTable::Fmt(index_per), ResultTable::Fmt(log_per),
-                  ResultTable::Fmt((r.index_bytes + r.log_bytes) / 1048576.0)});
+                  ResultTable::Fmt((r.index_bytes + r.log_bytes) / 1048576.0),
+                  ResultTable::Fmt(full_us, 0),
+                  r.delta_images == 0 ? "-" : ResultTable::Fmt(delta_us, 0)});
     if (json.enabled()) {
       json.artifact().AddPoint("index_kib_per_ckpt", c.full_every, index_per);
       json.artifact().AddPoint("log_kib_per_ckpt", c.full_every, log_per);
+      json.artifact().AddPoint("full_image_us", c.full_every, full_us);
+      if (r.delta_images > 0) {
+        json.artifact().AddPoint("delta_image_us", c.full_every, delta_us);
+      }
     }
   }
   table.Print();

@@ -138,11 +138,13 @@ void DFasterWorker::EventualTimerLoop() {
     delay_us = decision.next_delay_us;
     if (decision.action == CkptAction::kSkip) continue;
     Version token;
+    eventual_latch_.LockExclusive();
     Status s = store_->PerformCheckpoint(
         store_->CurrentVersion() + 1, nullptr, &token,
         CheckpointHints{
             .index_image = controller.policy().adaptive,
             .delta = decision.action == CkptAction::kDelta});
+    eventual_latch_.UnlockExclusive();
     if (!s.ok() && !s.IsBusy()) {
       DPR_WARN("eventual checkpoint: %s", s.ToString().c_str());
     }
@@ -450,9 +452,17 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
                                          KvBatchResponse* response,
                                          bool check_ownership) {
   if (dpr_worker_ == nullptr) {
-    // kNone / kEventual: no admission control, no commit tracking.
-    RunOps(request, store_->CurrentVersion(), response, check_ownership,
-           /*forward_deps=*/nullptr);
+    // kNone / kEventual: no admission control, no commit tracking. Only
+    // kEventual checkpoints, so only it fences batches against them.
+    if (config_.mode == RecoverabilityMode::kEventual) {
+      eventual_latch_.LockShared();
+      RunOps(request, store_->CurrentVersion(), response, check_ownership,
+             /*forward_deps=*/nullptr);
+      eventual_latch_.UnlockShared();
+    } else {
+      RunOps(request, store_->CurrentVersion(), response, check_ownership,
+             /*forward_deps=*/nullptr);
+    }
     response->header.status = DprResponseHeader::BatchStatus::kOk;
     response->header.world_line = kInitialWorldLine;
     response->header.executed_version = store_->CurrentVersion();

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/latch.h"
 #include "dfaster/migration_channel.h"
 #include "dfaster/protocol.h"
 #include "dpr/worker.h"
@@ -178,8 +179,13 @@ class DFasterWorker {
   // are const after construction).
   std::vector<std::unique_ptr<SealState>> seals_;
 
-  // kEventual mode: uncoordinated checkpoint timer.
+  // kEventual mode: uncoordinated checkpoint timer. Batches hold
+  // eventual_latch_ shared and the timer takes it exclusively around
+  // PerformCheckpoint, so no operation straddles a checkpoint boundary (the
+  // StateObject contract; kDpr gets the same from DprWorker's version latch).
   std::thread eventual_timer_;
+  SharedSpinLatch eventual_latch_{LockRank::kWorkerVersionLatch,
+                                  "dfaster.eventual_latch"};
   // DPR-watermark-driven log garbage collection.
   std::thread gc_thread_;
   Version pending_compaction_ = kInvalidVersion;

@@ -35,6 +35,7 @@ struct StoreMetrics {
   ShardedHistogram* stamp_us;        // metadata-only version-bump phase
   ShardedHistogram* flush_us;        // I/O phase, dequeue -> durable
   ShardedHistogram* stamp_to_durable_us;  // enqueue -> callback, total
+  ShardedHistogram* image_us;        // index-image capture on the flush thread
   // ckpt.* plane: per-checkpoint byte accounting and restore-path counts.
   Counter* ckpt_full;                // durable checkpoints with a full image
   Counter* ckpt_delta;               // durable checkpoints with a delta image
@@ -43,6 +44,7 @@ struct StoreMetrics {
   Counter* ckpt_chain_restores;      // restores served from an image chain
   Counter* ckpt_scan_restores;       // restores that fell back to a log scan
   Gauge* ckpt_chain_length;          // links installed by the last restore
+  Counter* ckpt_image_log_reads;     // log records read capturing images
 };
 
 const StoreMetrics& Metrics() {
@@ -55,13 +57,15 @@ const StoreMetrics& Metrics() {
                         r.histogram("faster.checkpoint.stamp_us"),
                         r.histogram("faster.checkpoint.flush_us"),
                         r.histogram("faster.checkpoint.stamp_to_durable_us"),
+                        r.histogram("faster.checkpoint.image_us"),
                         r.counter("ckpt.full"),
                         r.counter("ckpt.delta"),
                         r.counter("ckpt.log_bytes_persisted"),
                         r.counter("ckpt.index_bytes_persisted"),
                         r.counter("ckpt.chain_restores"),
                         r.counter("ckpt.scan_restores"),
-                        r.gauge("ckpt.chain_length")};
+                        r.gauge("ckpt.chain_length"),
+                        r.counter("ckpt.image_log_reads")};
   }();
   return m;
 }
@@ -157,11 +161,10 @@ Status FasterStore::Session::Rmw(uint64_t key, uint64_t delta,
     const LogAddress found = s->FindRecord(key, &head);
     if (found != kNullAddress) {
       RecordHeader* rec = s->log_.RecordAt(found);
-      if (!rec->tombstone() && rec->value_size == 8 &&
+      if (!rec->tombstone() && !rec->rcu_only() && rec->value_size == 8 &&
           found >= s->read_only_address_.load(std::memory_order_acquire) &&
           s->rollback_state_.load(std::memory_order_acquire) ==
-              static_cast<int>(RollbackState::kRest) &&
-          !s->checkpoint_active_.load(std::memory_order_acquire)) {
+              static_cast<int>(RollbackState::kRest)) {
         // In-place atomic add in the mutable region.
         std::atomic_ref<uint64_t> cell(
             *reinterpret_cast<uint64_t*>(rec->value()));
@@ -184,7 +187,7 @@ Status FasterStore::Session::Rmw(uint64_t key, uint64_t delta,
     const LogAddress fresh = s->AppendRecord(
         key, Slice(reinterpret_cast<const char*>(&updated), 8),
         /*tombstone=*/false, expected, static_cast<uint32_t>(v));
-    if (s->index_.CasHead(key, &expected, fresh)) {
+    if (s->index_.CasHead(key, &expected, fresh, static_cast<uint32_t>(v))) {
       if (result != nullptr) *result = updated;
       s->record_count_.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
@@ -264,7 +267,13 @@ LogAddress FasterStore::AppendRecord(uint64_t key, Slice value, bool tombstone,
   rec->key = key;
   rec->version = version;
   rec->value_size = static_cast<uint16_t>(value.size());
-  rec->flags = tombstone ? RecordHeader::kTombstone : 0;
+  // Reduced mode (see UpsertInternal): records appended while a flush is
+  // in flight stay RCU-only. The flag is written before the head CAS that
+  // publishes the record, so every thread that finds it sees the same mode.
+  rec->flags = (tombstone ? RecordHeader::kTombstone : 0) |
+               (checkpoint_active_.load(std::memory_order_acquire)
+                    ? RecordHeader::kRcuOnly
+                    : 0);
   if (!value.empty()) memcpy(rec->value(), value.data(), value.size());
   return addr;
 }
@@ -283,16 +292,20 @@ Status FasterStore::UpsertInternal(uint64_t key, Slice value) {
     const uint64_t v = version_.load(std::memory_order_acquire);
     if (!tombstone && found != kNullAddress) {
       RecordHeader* rec = log_.RecordAt(found);
-      if (!rec->tombstone() && rec->value_size == 8 && value.size() == 8 &&
+      if (!rec->tombstone() && !rec->rcu_only() && rec->value_size == 8 &&
+          value.size() == 8 &&
           found >= read_only_address_.load(std::memory_order_acquire) &&
           rollback_state_.load(std::memory_order_acquire) ==
-              static_cast<int>(RollbackState::kRest) &&
-          !checkpoint_active_.load(std::memory_order_acquire)) {
+              static_cast<int>(RollbackState::kRest)) {
         // In-place update: mutable-region records belong to the current
         // version, so no new version stamp is needed. While a checkpoint is
         // in flight the store runs in CPR's reduced-performance mode — all
         // updates take the RCU path (paper §5.5 / §7.2: frequent
         // checkpoints over slow storage keep the store in the slow path).
+        // That mode is a property of the record (kRcuOnly, set when it was
+        // appended), not of the moment: a thread that still sees the flush
+        // in flight must never copy a record another thread, seeing it
+        // done, updates in place — the copy would lose that update.
         std::atomic_ref<uint64_t> cell(
             *reinterpret_cast<uint64_t*>(rec->value()));
         uint64_t nv;
@@ -306,7 +319,7 @@ Status FasterStore::UpsertInternal(uint64_t key, Slice value) {
         AppendRecord(key, tombstone ? Slice("", 0) : value, tombstone,
                      expected, static_cast<uint32_t>(v));
     if (tombstone) log_.RecordAt(fresh)->SetFlag(RecordHeader::kTombstone);
-    if (index_.CasHead(key, &expected, fresh)) {
+    if (index_.CasHead(key, &expected, fresh, static_cast<uint32_t>(v))) {
       record_count_.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     }
@@ -387,8 +400,9 @@ Status FasterStore::FlushRange(LogAddress from, LogAddress to) {
   while (pos < to) {
     const uint64_t page_end = (pos | (chunk - 1)) + 1;
     const uint64_t n = std::min<uint64_t>(page_end, to) - pos;
-    auto buf = std::make_shared<std::vector<char>>(n);
-    memcpy(buf->data(), log_.Resolve(pos), n);
+    // Not value-initialized: memcpy overwrites every byte.
+    std::shared_ptr<char[]> buf = std::make_shared_for_overwrite<char[]>(n);
+    memcpy(buf.get(), log_.Resolve(pos), n);
     {
       MutexLock guard(state->mu);
       while (state->outstanding >= kMaxInflightChunks) {
@@ -399,7 +413,7 @@ Status FasterStore::FlushRange(LogAddress from, LogAddress to) {
     // `buf` is captured by the completion, keeping the copy alive until the
     // engine is done with it.
     options_.log_device->SubmitWrite(
-        pos, buf->data(), n, [state, buf](Status s) {
+        pos, buf.get(), n, [state, buf](Status s) {
           MutexLock guard(state->mu);
           if (!s.ok() && state->first_error.ok()) {
             state->first_error = std::move(s);
@@ -455,9 +469,9 @@ void FasterStore::FlushLoop() {
       if (req.index_image) {
         // The base is chosen here, at flush time, against the *durable*
         // checkpoint set: a failed earlier flush simply widens the delta
-        // (dirtiness is judged per bucket as head-version > base, which is
-        // valid for any durable image base — chain versions only decrease
-        // walking backwards).
+        // (dirtiness is judged per bucket as stamp or head version > base,
+        // which is valid for any durable image base — chain versions only
+        // decrease walking backwards).
         if (req.delta && !force_full_next_.load(std::memory_order_acquire)) {
           MutexLock guard(checkpoints_mu_);
           base = LargestImageBaseLocked();
@@ -549,32 +563,47 @@ std::string FasterStore::EncodeIndexMetaRecord(const FlushRequest& req,
   // Capture the image under epoch protection: a concurrent FinishCompaction
   // may otherwise reclaim pages below a freshly advanced begin address while
   // we walk chains into them.
+  const uint64_t start_us = NowMicros();
   epoch_.Protect();
   const LogAddress begin = begin_.load(std::memory_order_acquire);
   IndexImage image;
+  uint64_t log_reads = 0;
   const uint64_t buckets = index_.bucket_count();
   for (uint64_t b = 0; b < buckets; ++b) {
-    // Sub-boundary head: everything at or above the checkpoint boundary
-    // belongs to later versions and must not leak into this image. The
-    // walk only dereferences addresses >= boundary > begin, which cannot
-    // be reclaimed while we are epoch-protected.
+    // Head first (acquire), then the stamp: the stamp was raised before the
+    // CAS that installed this head, so stamp >= the head record's version.
     LogAddress addr = index_.HeadAt(b);
+    // Delta: every record ever offered to the bucket has version <= base,
+    // so the chain is exactly what the base image already recorded. Judged
+    // without touching the log.
+    if (delta && index_.StampAt(b) <= base) continue;
+    // Sub-boundary head: everything at or above the checkpoint boundary
+    // belongs to later versions and must not leak into this image. Only
+    // buckets written after the boundary read the log here. The walk only
+    // dereferences addresses >= boundary > begin, which cannot be reclaimed
+    // while we are epoch-protected.
+    bool walked = false;
     while (addr != kNullAddress && addr >= req.boundary) {
       addr = log_.RecordAt(addr)->prev;
+      ++log_reads;
+      walked = true;
     }
     if (addr == kNullAddress || addr < begin) continue;
-    if (delta) {
-      // Dirty iff the bucket's newest sub-boundary record was written
-      // after `base`: chain versions are non-increasing walking backwards
-      // (prev is always an older append), in-place updates re-stamp the
-      // current version, and admission blocks them while a checkpoint is
-      // active — so head version <= base implies the whole sub-boundary
-      // chain is exactly what the base image already recorded.
+    if (delta && walked) {
+      // The stamp speaks for the head, not for the sub-boundary record the
+      // walk reached: check its version. Chain versions are non-increasing
+      // walking backwards (prev is always an older append), and in-place
+      // updates never re-stamp a record — they only touch records above the
+      // read-only boundary, all written in the current version — so version
+      // <= base means the base image already recorded this chain.
+      ++log_reads;
       if (log_.RecordAt(addr)->version <= base) continue;
     }
     image.pairs.emplace_back(static_cast<uint32_t>(b), addr);
   }
   epoch_.Unprotect();
+  Metrics().ckpt_image_log_reads->Add(log_reads);
+  Metrics().image_us->Record(NowMicros() - start_us);
   image.AppendTo(&rec);
   return rec;
 }
@@ -743,7 +772,7 @@ Status FasterStore::StartCompaction(Version safe_token,
             AppendRecord(key, Slice(rec->value(), rec->value_size),
                          /*tombstone=*/false, expected,
                          static_cast<uint32_t>(v));
-        if (index_.CasHead(key, &expected, copy)) {
+        if (index_.CasHead(key, &expected, copy, static_cast<uint32_t>(v))) {
           record_count_.fetch_add(1, std::memory_order_relaxed);
           break;
         }

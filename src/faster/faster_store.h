@@ -48,10 +48,13 @@ struct FasterOptions {
 /// Checkpoint/version protocol (StateObject contract): operations execute in
 /// the current version; PerformCheckpoint(target) stamps the boundary — a
 /// metadata-only step — and flushes the log prefix asynchronously on the
-/// background flush thread. Callers (DprWorker) must guarantee no operation
-/// is mid-flight across the PerformCheckpoint call itself (the worker's
-/// version latch does); everything else — flushing, committing, rolling
-/// back with concurrent readers — is non-blocking.
+/// background flush thread. Callers must guarantee no operation is
+/// mid-flight across the PerformCheckpoint call itself (DprWorker's version
+/// latch does, and DFasterWorker's eventual latch in kEventual mode):
+/// otherwise the boundary can point into a page an in-flight append has
+/// claimed but not created, or split an update from the version it read.
+/// Everything else — flushing, committing, rolling back with concurrent
+/// readers — is non-blocking.
 class FasterStore : public StateObject {
  public:
   explicit FasterStore(FasterOptions options);
@@ -271,8 +274,8 @@ class FasterStore : public StateObject {
   std::deque<FlushRequest> flush_queue_ GUARDED_BY(flush_mu_);
   bool flush_in_progress_ GUARDED_BY(flush_mu_) = false;
   // CAS-claimed by PerformCheckpoint (one in flight), release-cleared when
-  // the flush completes; acquire-read by the in-place-update admission check
-  // so no mutation lands in a version being captured.
+  // the flush completes; acquire-read by AppendRecord, which marks records
+  // appended meanwhile kRcuOnly (CPR's reduced-performance mode).
   std::atomic<bool> checkpoint_active_{false};
   std::thread flush_thread_;
   bool stop_flush_ GUARDED_BY(flush_mu_) = false;

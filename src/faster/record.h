@@ -24,6 +24,9 @@ struct RecordHeader {
   static constexpr uint8_t kTombstone = 1 << 0;
   static constexpr uint8_t kInvalid = 1 << 1;  // rolled back (PURGE) or pad
   static constexpr uint8_t kPad = 1 << 2;      // filler at end of a page
+  // Appended while a checkpoint flush was in flight (CPR's reduced mode):
+  // never updated in place, so every thread agrees on how to update it.
+  static constexpr uint8_t kRcuOnly = 1 << 3;
 
   LogAddress prev = kNullAddress;  // next-older record in this hash chain
   uint64_t key = 0;
@@ -35,6 +38,7 @@ struct RecordHeader {
   bool tombstone() const { return (LoadFlags() & kTombstone) != 0; }
   bool invalid() const { return (LoadFlags() & kInvalid) != 0; }
   bool pad() const { return (LoadFlags() & kPad) != 0; }
+  bool rcu_only() const { return (LoadFlags() & kRcuOnly) != 0; }
 
   /// Flags can be set concurrently with readers (PURGE marks records invalid
   /// while lookups traverse chains), so access them atomically.

@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ckpt/cadence.h"
+#include "common/random.h"
 #include "faster/faster_store.h"
 #include "fault/fault_plane.h"
 #include "obs/metrics.h"
@@ -460,6 +462,136 @@ TEST(DeltaCheckpointTest, ChainFromCompactionBaseAfterFinish) {
     uint64_t v = 0;
     ASSERT_TRUE(reader->Read(k, &v).ok()) << "key " << k;
     EXPECT_EQ(v, k < 30 ? 20 + k : 30 + k) << "key " << k;
+  }
+}
+
+TEST(DeltaCheckpointTest, DeltaImageReadsOnlyDirtyBuckets) {
+  // A delta judges dirtiness from the per-bucket version stamps: a bucket
+  // untouched since the base costs no log read, and one written before the
+  // boundary emits its head without walking the chain. Only buckets written
+  // after the boundary read the log.
+  constexpr uint64_t kBuckets = 1 << 16;
+  auto store = NewStore(/*faulty_log=*/false, kBuckets);
+  auto session = store->NewSession();
+  for (uint64_t k = 0; k < 2 * kBuckets; ++k) {
+    ASSERT_TRUE(session->Upsert(k, k).ok());
+  }
+  Checkpoint(store.get(), /*image=*/true, /*delta=*/false);
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(session->Upsert(k * 997, uint64_t{7}).ok());
+  }
+  const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+  const Version t2 = Checkpoint(store.get(), true, true);
+  const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+  EXPECT_LE(CounterDelta(before, after, "ckpt.image_log_reads"), 100u)
+      << "a delta over " << kBuckets << " buckets read the log per bucket";
+  EXPECT_EQ(CounterDelta(before, after, "ckpt.delta"), 1u);
+  session.reset();
+
+  // The stamp-built delta restores exactly.
+  store->SimulateCrash();
+  ASSERT_TRUE(store->RestoreCheckpoint(t2, nullptr).ok());
+  auto reader = store->NewSession();
+  for (uint64_t k = 0; k < 2 * kBuckets; k += 61) {
+    uint64_t v = 0;
+    ASSERT_TRUE(reader->Read(k, &v).ok()) << "key " << k;
+    EXPECT_EQ(v, k % 997 == 0 && k / 997 < 100 ? 7 : k) << "key " << k;
+  }
+}
+
+TEST(DeltaCheckpointTest, RandomizedHistoryMatchesModel) {
+  // Writes and image checkpoints interleave with in-memory rollbacks,
+  // crashes restored from image chains, and compactions; after every
+  // restore the store must equal the model's snapshot at the restored
+  // token. Writes issued right after a stamp race the flush thread's image
+  // capture, so buckets written past the boundary take the chain walk.
+  constexpr uint64_t kKeys = 600;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    auto store = NewStore(/*faulty_log=*/false, /*buckets=*/128);
+    auto session = store->NewSession();
+    std::map<uint64_t, uint64_t> current;
+    std::map<Version, std::map<uint64_t, uint64_t>> durable;
+    auto write = [&] {
+      const uint64_t key = rng.Uniform(kKeys);
+      const uint64_t op = rng.Uniform(10);
+      if (op < 5) {
+        const uint64_t v = rng.Next();
+        ASSERT_TRUE(session->Upsert(key, v).ok());
+        current[key] = v;
+      } else if (op < 9) {
+        ASSERT_TRUE(session->Rmw(key, 3).ok());
+        current[key] += 3;
+      } else {
+        ASSERT_TRUE(session->Delete(key).ok());
+        current.erase(key);
+      }
+    };
+    auto verify = [&](const std::map<uint64_t, uint64_t>& want) {
+      for (uint64_t k = 0; k < kKeys; ++k) {
+        uint64_t v = 0;
+        const Status s = session->Read(k, &v);
+        auto it = want.find(k);
+        if (it == want.end()) {
+          ASSERT_TRUE(s.IsNotFound()) << "key " << k << ": " << s.ToString();
+        } else {
+          ASSERT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
+          ASSERT_EQ(v, it->second) << "key " << k;
+        }
+      }
+    };
+    auto pick_durable = [&] {
+      auto it = durable.begin();
+      std::advance(it, rng.Uniform(durable.size()));
+      return it->first;
+    };
+    for (int step = 0; step < 120; ++step) {
+      const uint64_t action = rng.Uniform(20);
+      if (action < 12) {
+        for (int i = 0; i < 20; ++i) write();
+      } else if (action < 16) {
+        const bool delta = rng.Uniform(4) != 0;
+        Version token = kInvalidVersion;
+        ASSERT_TRUE(store
+                        ->PerformCheckpoint(
+                            store->CurrentVersion() + 1, nullptr, &token,
+                            CheckpointHints{.index_image = true,
+                                            .delta = delta})
+                        .ok());
+        durable[token] = current;
+        for (int i = 0; i < 10; ++i) write();  // races the image capture
+        store->WaitForCheckpoints();
+        ASSERT_EQ(store->LargestDurableToken(), token);
+      } else if (action < 17 && !durable.empty()) {
+        const Version t = pick_durable();
+        ASSERT_TRUE(store->RestoreCheckpoint(t, nullptr).ok());
+        current = durable[t];
+        durable.erase(durable.upper_bound(t), durable.end());
+        verify(current);
+      } else if (action < 19 && !durable.empty()) {
+        const Version t = pick_durable();
+        session.reset();
+        const MetricsSnapshot before = MetricsRegistry::Default().Snapshot();
+        store->SimulateCrash();
+        ASSERT_TRUE(store->RestoreCheckpoint(t, nullptr).ok());
+        const MetricsSnapshot after = MetricsRegistry::Default().Snapshot();
+        EXPECT_EQ(CounterDelta(before, after, "ckpt.chain_restores"), 1u);
+        session = store->NewSession();
+        current = durable[t];
+        durable.erase(durable.upper_bound(t), durable.end());
+        verify(current);
+      } else if (!durable.empty()) {
+        Version ct = kInvalidVersion;
+        const Status s = store->StartCompaction(durable.rbegin()->first, &ct);
+        if (s.code() == Status::Code::kInvalidArgument) continue;
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        ASSERT_TRUE(store->FinishCompaction(ct, ct).ok());
+        durable.erase(durable.begin(), durable.lower_bound(ct));
+        durable[ct] = current;
+      }
+    }
+    verify(current);
   }
 }
 

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/sync.h"
 #include "dfaster/protocol.h"
+#include "dfaster/worker.h"
 #include "harness/cluster.h"
 
 namespace dpr {
@@ -140,6 +143,75 @@ TEST(DFasterClusterTest, EventualAndNoneModesServeOps) {
     ASSERT_TRUE(session->WaitForAll().ok());
     EXPECT_EQ(session->ops_failed(), 0u);
   }
+}
+
+TEST(DFasterClusterTest, EventualCheckpointsNeverSplitABatch) {
+  // Regression: the kEventual ("no DPR") timer used to draw checkpoint
+  // boundaries with batches in flight. A boundary could then point into a
+  // log page an in-flight append had claimed but not yet created (the flush
+  // aborted in LogAllocator::Resolve), and an in-place add could land on a
+  // record a concurrent read-copy-update had already copied (a lost RMW).
+  // The add was lost the same way when a flush completed mid-batch: one
+  // thread still saw it in flight and copied a record another updated in
+  // place. Small pages put a page crossing every 128 records and a 1 ms
+  // fixed cadence keeps boundaries coming; every acknowledged RMW must
+  // survive in the sum.
+  DFasterWorkerConfig config;
+  config.mode = RecoverabilityMode::kEventual;
+  config.faster.page_bits = 12;
+  config.faster.index_buckets = 1 << 10;
+  config.faster.log_device = std::make_unique<NullDevice>();
+  config.dpr.checkpoint_interval_us = 1000;
+  config.dpr.ckpt_policy = CkptPolicy::FixedInterval();
+  DFasterWorker worker(std::move(config));
+  ASSERT_TRUE(worker.Start(nullptr).ok());
+  constexpr uint64_t kKeys = 64;
+  constexpr int kThreads = 4;
+  constexpr int kBatchOps = 64;
+  constexpr Version kCheckpoints = 500;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> acked{0};
+  std::atomic<uint64_t> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      KvBatchRequest request;
+      for (int i = 0; i < kBatchOps; ++i) {
+        request.ops.push_back(
+            KvOp{KvOp::Type::kRmw, static_cast<uint64_t>(t * 7 + i) % kKeys,
+                 1});
+      }
+      for (int b = 0; !stop.load(); ++b) {
+        // Leave the checkpoint timer gaps to take the exclusive latch in.
+        if (b % 8 == 0) std::this_thread::yield();
+        KvBatchResponse response;
+        worker.ExecuteBatch(request, &response);
+        for (const KvOpResult& r : response.results) {
+          (r.result == KvResult::kOk ? acked : failed).fetch_add(1);
+        }
+      }
+    });
+  }
+  const Stopwatch timer;
+  while (worker.store()->LargestDurableToken() < kCheckpoints &&
+         timer.ElapsedMillis() < 20000) {
+    SleepMicros(1000);
+  }
+  stop.store(true);
+  for (auto& t : threads) t.join();
+  worker.Stop();
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_GE(worker.store()->LargestDurableToken(), kCheckpoints)
+      << "the timer must keep checkpointing under load";
+  auto session = worker.store()->NewSession();
+  uint64_t sum = 0;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    uint64_t v = 0;
+    ASSERT_TRUE(session->Read(k, &v).ok()) << "key " << k;
+    sum += v;
+  }
+  EXPECT_EQ(sum, acked.load())
+      << "an RMW was lost across a checkpoint boundary";
 }
 
 TEST(DFasterClusterTest, TcpTransportEndToEnd) {

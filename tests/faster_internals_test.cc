@@ -113,13 +113,13 @@ TEST(HashIndexTest, HeadsStartNull) {
 TEST(HashIndexTest, CasInstallsAndDetectsRaces) {
   HashIndex index(64);
   LogAddress expected = kNullAddress;
-  EXPECT_TRUE(index.CasHead(7, &expected, 100));
+  EXPECT_TRUE(index.CasHead(7, &expected, 100, 1));
   EXPECT_EQ(index.Head(7), 100u);
   // Stale expected fails and reports the current head.
   expected = kNullAddress;
-  EXPECT_FALSE(index.CasHead(7, &expected, 200));
+  EXPECT_FALSE(index.CasHead(7, &expected, 200, 1));
   EXPECT_EQ(expected, 100u);
-  EXPECT_TRUE(index.CasHead(7, &expected, 200));
+  EXPECT_TRUE(index.CasHead(7, &expected, 200, 1));
   EXPECT_EQ(index.Head(7), 200u);
 }
 
@@ -131,11 +131,81 @@ TEST(HashIndexTest, ConcurrentCasOneWinnerPerRound) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       LogAddress expected = kNullAddress;
-      if (index.CasHead(42, &expected, 1000 + t)) wins.fetch_add(1);
+      if (index.CasHead(42, &expected, 1000 + t, 1)) wins.fetch_add(1);
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(wins.load(), 1);
+}
+
+TEST(HashIndexTest, StampRisesBeforeCasAndNeverFalls) {
+  // Writers install heads whose address encodes the record version (some
+  // versions below what another writer already offered); a reader loading
+  // head-then-stamp must always see stamp >= that head's version, and the
+  // stamp must never fall.
+  HashIndex index(16);
+  constexpr uint64_t kKey = 5;
+  const uint64_t bucket = index.BucketFor(kKey);
+  constexpr int kWriters = 4;
+  constexpr uint32_t kVersions = 20000;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> violations{0};
+  std::thread reader([&] {
+    uint32_t last = 0;
+    while (!done.load()) {
+      const LogAddress head = index.HeadAt(bucket);
+      const uint32_t stamp = index.StampAt(bucket);
+      if (stamp < head >> 8 || stamp < last) violations.fetch_add(1);
+      last = stamp;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      for (uint32_t v = 1; v <= kVersions; ++v) {
+        // Writer t lags behind by t * 1000 versions, so its offers often
+        // sit below the bucket's current stamp.
+        const uint32_t version = v > t * 1000u ? v - t * 1000u : 1;
+        LogAddress expected = index.Head(kKey);
+        const LogAddress desired = (uint64_t{version} << 8) | t;
+        while (!index.CasHead(kKey, &expected, desired, version)) {
+        }
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_EQ(index.StampAt(bucket), kVersions);
+}
+
+TEST(HashIndexTest, FailedCasStillRaisesStamp) {
+  HashIndex index(64);
+  LogAddress expected = kNullAddress;
+  ASSERT_TRUE(index.CasHead(9, &expected, 100, 3));
+  expected = kNullAddress;  // stale: the CAS fails
+  EXPECT_FALSE(index.CasHead(9, &expected, 200, 7));
+  // Overstating is safe (the image walks the chain); understating is not.
+  EXPECT_EQ(index.StampAt(index.BucketFor(9)), 7u);
+}
+
+TEST(HashIndexTest, ClearAndSetHeadResetStamps) {
+  HashIndex index(64);
+  for (uint64_t k = 0; k < 100; ++k) {
+    LogAddress expected = index.Head(k);
+    ASSERT_TRUE(index.CasHead(k, &expected, 8 * (k + 1), 9));
+  }
+  index.SetHead(3, 800);
+  EXPECT_EQ(index.StampAt(index.BucketFor(3)), 0u);
+  EXPECT_EQ(index.Head(3), 800u);
+  index.SetHeadAt(index.BucketFor(4), 900);
+  EXPECT_EQ(index.StampAt(index.BucketFor(4)), 0u);
+  index.Clear();
+  for (uint64_t b = 0; b < index.bucket_count(); ++b) {
+    EXPECT_EQ(index.StampAt(b), 0u);
+    EXPECT_EQ(index.HeadAt(b), kNullAddress);
+  }
 }
 
 }  // namespace

@@ -533,7 +533,11 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
   reg.ResetForTest();
   FasterOptions options;
   options.index_buckets = 256;
-  options.log_device = std::make_unique<MemoryDevice>();
+  // A slow log fsync holds each image capture back ~30 ms behind its stamp,
+  // so writes issued right after a stamp land before the capture.
+  options.log_device = std::make_unique<LatencyDevice>(
+      std::make_unique<MemoryDevice>(), /*flush_latency_us=*/30000,
+      /*per_mb_us=*/0);
   options.meta_device = std::make_unique<MemoryDevice>();
   FasterStore store(std::move(options));
   auto session = store.NewSession();
@@ -554,15 +558,37 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
   }
   checkpoint(/*delta=*/true);
   checkpoint(/*delta=*/true);  // nothing dirtied: an empty delta, still valid
+  // Every bucket so far was written before its boundary: the images were
+  // built from heads and version stamps alone, without a log read.
+  EXPECT_EQ(reg.Snapshot().counters.at("ckpt.image_log_reads"), 0u);
+
+  // Writes that land between a stamp and its capture raise their buckets'
+  // stamps past the token; the delta walks those chains below the boundary.
+  // (The stamp must cover fresh log bytes, or there is no fsync to wait on.)
+  ASSERT_TRUE(session->Upsert(63, uint64_t{63}).ok());
+  ASSERT_TRUE(store
+                  .PerformCheckpoint(
+                      store.CurrentVersion() + 1, nullptr, nullptr,
+                      CheckpointHints{.index_image = true, .delta = true})
+                  .ok());
+  for (uint64_t k = 0; k < 8; ++k) {
+    ASSERT_TRUE(session->Upsert(k, 200 + k).ok());
+  }
+  store.WaitForCheckpoints();
 
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("ckpt.full"), 1u);
-  EXPECT_EQ(snap.counters.at("ckpt.delta"), 2u);
-  EXPECT_EQ(snap.counters.at("faster.checkpoints_flushed"), 3u);
+  EXPECT_EQ(snap.counters.at("ckpt.delta"), 3u);
+  EXPECT_EQ(snap.counters.at("faster.checkpoints_flushed"), 4u);
   // Every checkpoint persisted log bytes for its window plus a meta record;
   // the full image dominates the index-byte accounting.
   EXPECT_GT(snap.counters.at("ckpt.log_bytes_persisted"), 0u);
   EXPECT_GT(snap.counters.at("ckpt.index_bytes_persisted"), 0u);
+  // Each of the 8 post-stamp buckets: one read to step past its new head,
+  // one for the sub-boundary head's version.
+  EXPECT_GE(snap.counters.at("ckpt.image_log_reads"), 8u);
+  EXPECT_LE(snap.counters.at("ckpt.image_log_reads"), 16u);
+  EXPECT_EQ(snap.histograms.at("faster.checkpoint.image_us").count(), 4u);
   reg.ResetForTest();
 }
 
