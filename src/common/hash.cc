@@ -1,5 +1,11 @@
 #include "common/hash.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace dpr {
 
 uint64_t HashBytes(const void* data, size_t n) {
@@ -31,15 +37,51 @@ struct Crc32cTable {
 
 constexpr Crc32cTable kCrcTable{};
 
-}  // namespace
-
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = ~seed;
+// Both loops take and return the CRC register (pre- and post-inverted by
+// the callers).
+uint32_t Crc32cTableLoop(uint32_t crc, const unsigned char* p, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     crc = (crc >> 8) ^ kCrcTable.table[(crc ^ p[i]) & 0xff];
   }
-  return ~crc;
+  return crc;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(
+    uint32_t crc, const unsigned char* p, size_t n) {
+  for (; n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0; --n) {
+    crc = _mm_crc32_u8(crc, *p++);
+  }
+  uint64_t crc64 = crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    memcpy(&word, p, 8);
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<uint32_t>(crc64);
+  for (; n > 0; --n) crc = _mm_crc32_u8(crc, *p++);
+  return crc;
+}
+#endif
+
+using Crc32cLoop = uint32_t (*)(uint32_t, const unsigned char*, size_t);
+
+Crc32cLoop ChooseCrc32cLoop() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("sse4.2")) return Crc32cSse42;
+#endif
+  return Crc32cTableLoop;
+}
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+  static const Crc32cLoop loop = ChooseCrc32cLoop();
+  return ~loop(~seed, static_cast<const unsigned char*>(data), n);
+}
+
+uint32_t Crc32cSoftware(const void* data, size_t n, uint32_t seed) {
+  return ~Crc32cTableLoop(~seed, static_cast<const unsigned char*>(data), n);
 }
 
 }  // namespace dpr

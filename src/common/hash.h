@@ -20,8 +20,14 @@ inline uint64_t Mix64(uint64_t k) {
 /// FNV-1a over an arbitrary byte range; used for string keys and metadata.
 uint64_t HashBytes(const void* data, size_t n);
 
-/// CRC32C (software, sliced) used to checksum log and checkpoint records.
+/// CRC32C (Castagnoli) used to checksum log and checkpoint records. Uses
+/// the SSE4.2 crc32 instruction when the CPU has it, else Crc32cSoftware.
+/// Chainable: Crc32c(b, m, Crc32c(a, n)) is the CRC of a followed by b.
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed = 0);
+
+/// The byte-at-a-time table loop behind Crc32c on CPUs without SSE4.2;
+/// same results on every input.
+uint32_t Crc32cSoftware(const void* data, size_t n, uint32_t seed = 0);
 
 }  // namespace dpr
 

@@ -32,10 +32,11 @@ const ClientMetrics& Metrics() {
 }  // namespace
 
 DFasterClient::DFasterClient(DFasterClientConfig config)
-    : config_(std::move(config)),
-      routes_(YcsbWorkload::kNumPartitions) {
+    : config_(std::move(config)) {
   for (uint32_t vp = 0; vp < YcsbWorkload::kNumPartitions; ++vp) {
-    routes_[vp] = YcsbWorkload::DefaultOwner(vp, config_.num_workers);
+    // relaxed: see routes_.
+    routes_[vp].store(YcsbWorkload::DefaultOwner(vp, config_.num_workers),
+                      std::memory_order_relaxed);
   }
   RefreshOwnership();
 }
@@ -96,16 +97,18 @@ void DFasterClient::TimerLoop() {
 }
 
 WorkerId DFasterClient::RouteOf(uint64_t key) const {
-  MutexLock guard(routes_mu_);
-  return routes_[YcsbWorkload::PartitionOf(key)];
+  // relaxed: see routes_.
+  return routes_[YcsbWorkload::PartitionOf(key)].load(
+      std::memory_order_relaxed);
 }
 
 void DFasterClient::RefreshOwnership() {
   if (config_.metadata == nullptr) return;
   const auto ownership = config_.metadata->GetOwnership();
-  MutexLock guard(routes_mu_);
   for (const auto& [vp, worker] : ownership) {
-    if (vp < routes_.size()) routes_[vp] = worker;
+    if (vp >= routes_.size()) continue;
+    // relaxed: see routes_.
+    routes_[vp].store(worker, std::memory_order_relaxed);
   }
 }
 
@@ -149,9 +152,9 @@ std::vector<WorkerId> DFasterClient::KnownWorkers() const {
     for (const auto& [id, conn] : remote_) ids.push_back(id);
     for (const auto& [id, w] : local_) ids.push_back(id);
   }
-  {
-    MutexLock guard(routes_mu_);
-    ids.insert(ids.end(), routes_.begin(), routes_.end());
+  for (const std::atomic<WorkerId>& route : routes_) {
+    // relaxed: see routes_.
+    ids.push_back(route.load(std::memory_order_relaxed));
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -212,9 +215,13 @@ void DFasterClient::Session::Flush() {
 }
 
 void DFasterClient::Session::Dispatch(WorkerId worker) {
-  PendingBatch batch = std::move(building_[worker]);
-  building_[worker].ops.clear();
-  building_[worker].callbacks.clear();
+  PendingBatch& building = building_[worker];
+  PendingBatch batch = std::move(building);
+  // The moved-from vectors have no capacity; reserve a full batch so the
+  // next one does not regrow from zero.
+  building = PendingBatch{};
+  building.ops.reserve(client_->config_.batch_size);
+  building.callbacks.reserve(client_->config_.batch_size);
   const uint64_t n = batch.ops.size();
   Metrics().batches->Add();
   Metrics().batch_fill->Record(n);

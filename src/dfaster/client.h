@@ -1,6 +1,7 @@
 #ifndef DPR_DFASTER_CLIENT_H_
 #define DPR_DFASTER_CLIENT_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -96,9 +97,10 @@ class DFasterClient {
   std::map<WorkerId, std::unique_ptr<RpcConnection>> remote_
       GUARDED_BY(endpoints_mu_);
   std::map<WorkerId, DFasterWorker*> local_ GUARDED_BY(endpoints_mu_);
-  // Leaf lock: guards only the cached routing table.
-  mutable Mutex routes_mu_{LockRank::kClientWindow, "dfaster.client.routes"};
-  std::vector<WorkerId> routes_ GUARDED_BY(routes_mu_);  // partition -> worker
+  // Cached routing table, partition -> worker, read on every issued op.
+  // relaxed: each slot is an independent hint; a stale route is corrected
+  // by the kNotOwner reroute, not by ordering with other memory.
+  std::array<std::atomic<WorkerId>, YcsbWorkload::kNumPartitions> routes_;
 
   void TimerLoop();
 

@@ -12,7 +12,9 @@ namespace dpr {
 
 namespace {
 
-struct MigrationWorkerMetrics {
+struct WorkerMetrics {
+  // "FASTER op" stage: one RunOps call, every op of a batch applied.
+  ShardedHistogram* apply_us;
   Counter* forward_ops;
   Counter* forward_failures;
   Counter* readmissions;
@@ -20,10 +22,11 @@ struct MigrationWorkerMetrics {
   Counter* install_records;
 };
 
-const MigrationWorkerMetrics& MigMetrics() {
-  static const MigrationWorkerMetrics m = [] {
+const WorkerMetrics& Metrics() {
+  static const WorkerMetrics m = [] {
     MetricsRegistry& r = MetricsRegistry::Default();
-    return MigrationWorkerMetrics{
+    return WorkerMetrics{
+        r.histogram("dfaster.worker.apply_us"),
         r.counter("cluster.migration.forward_ops"),
         r.counter("cluster.migration.forward_failures"),
         r.counter("cluster.migration.readmissions"),
@@ -32,6 +35,12 @@ const MigrationWorkerMetrics& MigMetrics() {
   }();
   return m;
 }
+
+// RunOps prefetch distances, in ops ahead of the one being applied. The
+// head stage reads the bucket the bucket stage requested, so it trails it
+// by a few ops' worth of time for that miss to land.
+constexpr size_t kBucketAhead = 8;
+constexpr size_t kHeadAhead = 4;
 
 }  // namespace
 
@@ -312,8 +321,8 @@ Status DFasterWorker::DrainSealedPartition(uint32_t partition,
       return fs.ok() ? Status::Unavailable("migration install rejected")
                      : fs;
     }
-    MigMetrics().install_batches->Add();
-    MigMetrics().install_records->Add(chunk.ops.size());
+    Metrics().install_batches->Add();
+    Metrics().install_records->Add(chunk.ops.size());
     if (max_installed != nullptr &&
         response.header.executed_version != kInvalidVersion) {
       *max_installed =
@@ -363,10 +372,24 @@ DprRequestHeader DFasterWorker::MakeInstallHeader(uint32_t partition) const {
 void DFasterWorker::RunOps(const KvBatchRequest& request, Version /*version*/,
                            KvBatchResponse* response, bool check_ownership,
                            DependencySet* forward_deps) {
+  const uint64_t start_us = NowMicros();
   auto session = store_->NewSession();
-  response->results.resize(request.ops.size());
-  for (size_t i = 0; i < request.ops.size(); ++i) {
-    const KvOp& op = request.ops[i];
+  const std::vector<KvOp>& ops = request.ops;
+  const size_t n = ops.size();
+  response->results.resize(n);
+  for (size_t j = 0; j < std::min(n, kBucketAhead); ++j) {
+    session->PrefetchBucket(ops[j].key);
+  }
+  for (size_t j = 0; j < std::min(n, kHeadAhead); ++j) {
+    session->PrefetchHead(ops[j].key);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    // Overlap the next ops' misses with this one (DESIGN.md §4m).
+    if (i + kBucketAhead < n) {
+      session->PrefetchBucket(ops[i + kBucketAhead].key);
+    }
+    if (i + kHeadAhead < n) session->PrefetchHead(ops[i + kHeadAhead].key);
+    const KvOp& op = ops[i];
     KvOpResult& out = response->results[i];
     const uint32_t partition = YcsbWorkload::PartitionOf(op.key);
     SealState& seal = *seals_[partition];
@@ -414,7 +437,7 @@ void DFasterWorker::RunOps(const KvBatchRequest& request, Version /*version*/,
     forward.ops.push_back(fwd_op);
     KvBatchResponse fwd_response;
     Status fs = seal.channel->Install(forward, &fwd_response);
-    MigMetrics().forward_ops->Add();
+    Metrics().forward_ops->Add();
     const bool fwd_ok =
         fs.ok() &&
         fwd_response.header.status == DprResponseHeader::BatchStatus::kOk;
@@ -423,7 +446,7 @@ void DFasterWorker::RunOps(const KvBatchRequest& request, Version /*version*/,
       // migration can no longer complete. Surface kError so the client
       // treats the op outcome as uncertain.
       seal.failed.store(true, std::memory_order_relaxed);
-      MigMetrics().forward_failures->Add();
+      Metrics().forward_failures->Add();
       out.result = KvResult::kError;
       continue;
     }
@@ -433,6 +456,7 @@ void DFasterWorker::RunOps(const KvBatchRequest& request, Version /*version*/,
       slot = std::max(slot, fwd_response.header.executed_version);
     }
   }
+  Metrics().apply_us->Record(NowMicros() - start_us);
 }
 
 void DFasterWorker::ExecuteBatch(const KvBatchRequest& request,
@@ -517,7 +541,7 @@ void DFasterWorker::ExecuteBatchInternal(const KvBatchRequest& request,
       return;
     }
     dpr_worker_->EndBatch();
-    MigMetrics().readmissions->Add();
+    Metrics().readmissions->Add();
     version = ack_version;
   }
   dpr_worker_->FillResponse(version, DprResponseHeader::BatchStatus::kOk,

@@ -1,10 +1,12 @@
 #include "epoch/light_epoch.h"
 
+#include <algorithm>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/logging.h"
 
 namespace dpr {
@@ -139,22 +141,41 @@ uint64_t LightEpoch::BumpEpoch() {
 uint64_t LightEpoch::BumpEpoch(std::function<void()> action) {
   // The action is safe once every protected thread has seen an epoch >= the
   // post-bump value, i.e. safe-epoch >= prior+1.
-  drain_latch_.Lock();
-  int idx = -1;
-  for (int i = 0; i < kDrainListSize; ++i) {
-    if (!drain_list_[i].action) {
-      idx = i;
-      break;
+  const uint64_t deadline_us = NowMicros() + kDrainWaitLimitUs;
+  for (;;) {
+    drain_latch_.Lock();
+    for (DrainItem& item : drain_list_) {
+      if (item.action) continue;
+      const uint64_t next = BumpEpoch();
+      item.epoch = next;
+      item.action = std::move(action);
+      drain_count_.fetch_add(1, std::memory_order_release);
+      drain_latch_.Unlock();
+      TryDrain();
+      return next;
     }
+    uint64_t oldest = ~0ULL;
+    for (const DrainItem& item : drain_list_) {
+      oldest = std::min(oldest, item.epoch);
+    }
+    drain_latch_.Unlock();
+    // Every slot waits for some protected thread to move past its epoch.
+    // Run what is ripe, and move this thread's own entry forward in case it
+    // is the laggard, then look again.
+    DPR_CHECK_MSG(NowMicros() < deadline_us,
+                  "epoch drain list full for %llu ms: oldest pending epoch "
+                  "%llu, safe epoch %llu, current epoch %llu",
+                  static_cast<unsigned long long>(kDrainWaitLimitUs / 1000),
+                  static_cast<unsigned long long>(oldest),
+                  static_cast<unsigned long long>(ComputeSafeEpoch()),
+                  static_cast<unsigned long long>(current_epoch()));
+    if (IsProtected()) {
+      Refresh();
+    } else {
+      TryDrain();
+    }
+    std::this_thread::yield();
   }
-  DPR_CHECK_MSG(idx >= 0, "epoch drain list full");
-  const uint64_t next = BumpEpoch();
-  drain_list_[idx].epoch = next;
-  drain_list_[idx].action = std::move(action);
-  drain_count_.fetch_add(1, std::memory_order_release);
-  drain_latch_.Unlock();
-  TryDrain();
-  return next;
 }
 
 void LightEpoch::TryDrain() {

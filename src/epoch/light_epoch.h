@@ -23,6 +23,10 @@ class LightEpoch {
  public:
   static constexpr uint32_t kMaxThreads = 128;
   static constexpr uint64_t kUnprotected = 0;
+  /// Drain actions that can be pending at once.
+  static constexpr int kDrainListSize = 256;
+  /// Longest a BumpEpoch(action) waits for a free drain slot.
+  static constexpr uint64_t kDrainWaitLimitUs = 10'000'000;
 
   LightEpoch();
   ~LightEpoch();
@@ -46,7 +50,11 @@ class LightEpoch {
 
   /// Atomically increments the current epoch; `action` runs exactly once,
   /// on some thread inside Refresh()/Protect()/Drain, after every protected
-  /// thread has moved past the pre-bump epoch.
+  /// thread has moved past the pre-bump epoch. When all kDrainListSize
+  /// slots hold pending actions, waits (draining, and refreshing the
+  /// caller's own entry if it is protected) for one to free up; aborts,
+  /// naming the oldest pending epoch, if none does within
+  /// kDrainWaitLimitUs.
   uint64_t BumpEpoch(std::function<void()> action);
 
   /// Bump without an action.
@@ -78,8 +86,6 @@ class LightEpoch {
     uint64_t epoch;                // action safe once safe-epoch >= this
     std::function<void()> action;  // empty slot when !action
   };
-
-  static constexpr int kDrainListSize = 256;
 
   void DoDrain(uint64_t safe_epoch);
 

@@ -109,6 +109,23 @@ std::unique_ptr<FasterStore::Session> FasterStore::NewSession() {
 
 void FasterStore::Session::Refresh() { store_->epoch_.Refresh(); }
 
+// The crash check keeps a prefetch from reading what the op itself would
+// not: a crashed store rejects ops, and its index may still name records
+// of the cleared log.
+void FasterStore::Session::PrefetchBucket(uint64_t key) const {
+  if (store_->crashed_.load(std::memory_order_acquire)) return;
+  store_->index_.PrefetchBucket(key);
+}
+
+void FasterStore::Session::PrefetchHead(uint64_t key) const {
+  if (store_->crashed_.load(std::memory_order_acquire)) return;
+  const LogAddress head = store_->index_.Head(key);
+  // Below begin the page may be released (FinishCompaction); null is 0.
+  if (head < store_->begin_.load(std::memory_order_acquire)) return;
+  const char* record = store_->log_.TryResolve(head);
+  if (record != nullptr) __builtin_prefetch(record);
+}
+
 Status FasterStore::Session::Read(uint64_t key, std::string* value) {
   if (++ops_since_refresh_ >= 256) {
     ops_since_refresh_ = 0;

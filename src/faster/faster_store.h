@@ -79,6 +79,15 @@ class FasterStore : public StateObject {
     Status Rmw(uint64_t key, uint64_t delta, uint64_t* result = nullptr);
     Status Delete(uint64_t key);
 
+    /// Cache hints for an upcoming op on `key`, so a batch can overlap the
+    /// misses of its lookups (DESIGN.md §4m): the bucket slot, then the
+    /// head record the bucket names, when it is at or above the begin
+    /// address. Neither changes store state or aborts: the head is resolved
+    /// with LogAllocator::TryResolve, and both do nothing while the store
+    /// is crashed.
+    void PrefetchBucket(uint64_t key) const;
+    void PrefetchHead(uint64_t key) const;
+
     /// Re-publishes the epoch; call periodically from long-running loops.
     void Refresh();
 

@@ -38,6 +38,12 @@ class HashIndex {
     return buckets_[BucketFor(key)].head.load(std::memory_order_acquire);
   }
 
+  /// Asks the cache for `key`'s bucket slot ahead of a Head() or CasHead()
+  /// on it. A hint only: reads nothing, so it is safe at any time.
+  void PrefetchBucket(uint64_t key) const {
+    __builtin_prefetch(&buckets_[BucketFor(key)]);
+  }
+
   /// CAS the bucket head from `expected` to `desired`, a record stamped
   /// `version`; on failure `expected` holds the observed head. The bucket's
   /// stamp is raised to `version` first, even if the CAS then fails (a

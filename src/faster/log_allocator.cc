@@ -1,7 +1,5 @@
 #include "faster/log_allocator.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace dpr {
@@ -27,8 +25,8 @@ void LogAllocator::EnsurePage(uint64_t page_index) {
   }
   MutexLock guard(pages_mu_);
   if (pages_[page_index] == nullptr) {
+    // make_unique<char[]> value-initialises: the page arrives zeroed.
     pages_[page_index] = std::make_unique<char[]>(page_size());
-    memset(pages_[page_index].get(), 0, page_size());
   }
   uint64_t n = num_pages_.load(std::memory_order_relaxed);
   if (page_index + 1 > n) {
@@ -86,14 +84,20 @@ const char* LogAllocator::Resolve(LogAddress address) const {
   return const_cast<LogAllocator*>(this)->Resolve(address);
 }
 
+const char* LogAllocator::TryResolve(LogAddress address) const {
+  const uint64_t page_index = address >> page_bits_;
+  if (page_index >= num_pages_.load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  const char* page = pages_[page_index].get();
+  return page == nullptr ? nullptr : page + (address & (page_size() - 1));
+}
+
 void LogAllocator::RestoreTo(uint64_t size) {
   MutexLock guard(pages_mu_);
   const uint64_t needed = (size + page_size() - 1) >> page_bits_;
   for (uint64_t i = 0; i < needed; ++i) {
-    if (pages_[i] == nullptr) {
-      pages_[i] = std::make_unique<char[]>(page_size());
-      memset(pages_[i].get(), 0, page_size());
-    }
+    if (pages_[i] == nullptr) pages_[i] = std::make_unique<char[]>(page_size());
   }
   if (needed > num_pages_.load(std::memory_order_relaxed)) {
     num_pages_.store(needed, std::memory_order_release);

@@ -37,6 +37,11 @@ class LogAllocator {
   char* Resolve(LogAddress address);
   const char* Resolve(LogAddress address) const;
 
+  /// Like Resolve, but returns nullptr instead of aborting when `address`
+  /// lies beyond the allocated log or on a page that was dropped (Clear,
+  /// ReleasePagesBelow). For prefetch hints that may chase a stale head.
+  const char* TryResolve(LogAddress address) const;
+
   RecordHeader* RecordAt(LogAddress address) {
     return reinterpret_cast<RecordHeader*>(Resolve(address));
   }

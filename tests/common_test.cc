@@ -140,6 +140,39 @@ TEST(CodingTest, DecoderRejectsUnderflow) {
 TEST(HashTest, Crc32cKnownVector) {
   // CRC32C("123456789") = 0xe3069283 (iSCSI test vector).
   EXPECT_EQ(Crc32c("123456789", 9), 0xe3069283u);
+  EXPECT_EQ(Crc32cSoftware("123456789", 9), 0xe3069283u);
+}
+
+TEST(HashTest, Crc32cChainsAcrossCalls) {
+  const std::string data = "123456789";
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32c(data.data(), split);
+    EXPECT_EQ(Crc32c(data.data() + split, data.size() - split, head),
+              0xe3069283u)
+        << "split at " << split;
+    EXPECT_EQ(Crc32cSoftware(data.data() + split, data.size() - split,
+                             Crc32cSoftware(data.data(), split)),
+              0xe3069283u);
+  }
+  EXPECT_EQ(Crc32c(nullptr, 0, 0x1234u), 0x1234u);
+}
+
+TEST(HashTest, Crc32cMatchesTableLoopAtEveryAlignment) {
+  // Crc32c may run the SSE4.2 path, which steps 8 bytes at a time after
+  // aligning the pointer; it must agree with the byte loop everywhere.
+  constexpr size_t kMaxLen = 4096;
+  constexpr size_t kAlign = 8;
+  Random rng(17);
+  std::vector<unsigned char> buf(kMaxLen + kAlign);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t offset = 0; offset < kAlign; ++offset) {
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(Crc32c(p, len, seed), Crc32cSoftware(p, len, seed))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 TEST(HashTest, Crc32cDetectsCorruption) {

@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/random.h"
 #include "common/sync.h"
+#include "dfaster/migration_channel.h"
 #include "dfaster/protocol.h"
 #include "dfaster/worker.h"
 #include "harness/cluster.h"
@@ -212,6 +214,101 @@ TEST(DFasterClusterTest, EventualCheckpointsNeverSplitABatch) {
   }
   EXPECT_EQ(sum, acked.load())
       << "an RMW was lost across a checkpoint boundary";
+}
+
+// A migration target that acknowledges every install and keeps its ops.
+class RecordingChannel : public MigrationChannel {
+ public:
+  WorkerId target() const override { return 7; }
+  Status Install(const KvBatchRequest& request,
+                 KvBatchResponse* response) override {
+    installed.insert(installed.end(), request.ops.begin(), request.ops.end());
+    response->header.status = DprResponseHeader::BatchStatus::kOk;
+    response->results.assign(request.ops.size(), KvOpResult{});
+    return Status::OK();
+  }
+  std::vector<KvOp> installed;  // the test thread runs every Install
+};
+
+TEST(DFasterWorkerTest, BatchedApplyMatchesOpByOp) {
+  // RunOps overlaps a batch's lookups with prefetches. The batch must still
+  // return what applying its ops one at a time returns, in order: reads,
+  // upserts, RMWs and deletes, repeated keys, absent keys, and ops on a
+  // sealed partition (the locked slow path, which forwards each write).
+  auto make_worker = [] {
+    DFasterWorkerConfig config;
+    config.mode = RecoverabilityMode::kNone;
+    config.faster.index_buckets = 16;  // long chains behind each head
+    return std::make_unique<DFasterWorker>(std::move(config));
+  };
+  auto batched = make_worker();
+  auto stepwise = make_worker();
+  ASSERT_TRUE(batched->Start(nullptr).ok());
+  ASSERT_TRUE(stepwise->Start(nullptr).ok());
+  constexpr uint64_t kKeys = 48;  // 64 ops over keys 0..63: repeats + misses
+  KvBatchRequest preload;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    preload.ops.push_back(KvOp{KvOp::Type::kUpsert, k, 1000 + k});
+  }
+  for (DFasterWorker* w : {batched.get(), stepwise.get()}) {
+    KvBatchResponse response;
+    w->ExecuteBatch(preload, &response);
+    ASSERT_EQ(response.results.size(), preload.ops.size());
+  }
+  constexpr uint64_t kSealedKey = 5;
+  const uint32_t sealed = YcsbWorkload::PartitionOf(kSealedKey);
+  auto batched_target = std::make_shared<RecordingChannel>();
+  auto stepwise_target = std::make_shared<RecordingChannel>();
+  ASSERT_TRUE(batched->SealPartition(sealed, batched_target).ok());
+  ASSERT_TRUE(stepwise->SealPartition(sealed, stepwise_target).ok());
+
+  Random rng(1234);
+  KvBatchRequest batch;
+  for (int i = 0; i < 64; ++i) {
+    const auto type = static_cast<KvOp::Type>(1 + i % 4);
+    const uint64_t key = i % 5 == 0 ? kSealedKey : rng.Uniform(64);
+    batch.ops.push_back(KvOp{type, key, rng.Uniform(100)});
+  }
+  KvBatchResponse together;
+  batched->ExecuteBatch(batch, &together);
+  ASSERT_EQ(together.results.size(), batch.ops.size());
+  for (size_t i = 0; i < batch.ops.size(); ++i) {
+    KvBatchRequest one;
+    one.ops.push_back(batch.ops[i]);
+    KvBatchResponse single;
+    stepwise->ExecuteBatch(one, &single);
+    ASSERT_EQ(single.results.size(), 1u);
+    EXPECT_EQ(together.results[i].result, single.results[0].result)
+        << "op " << i;
+    EXPECT_EQ(together.results[i].value, single.results[0].value)
+        << "op " << i;
+  }
+  ASSERT_EQ(batched_target->installed.size(),
+            stepwise_target->installed.size());
+  EXPECT_FALSE(batched_target->installed.empty());
+  for (size_t i = 0; i < batched_target->installed.size(); ++i) {
+    const KvOp& a = batched_target->installed[i];
+    const KvOp& b = stepwise_target->installed[i];
+    EXPECT_EQ(a.type, b.type) << "forward " << i;
+    EXPECT_EQ(a.key, b.key) << "forward " << i;
+    EXPECT_EQ(a.value, b.value) << "forward " << i;
+  }
+  batched->UnsealPartition(sealed, /*disown=*/false);
+  stepwise->UnsealPartition(sealed, /*disown=*/false);
+  auto batched_store = batched->store()->NewSession();
+  auto stepwise_store = stepwise->store()->NewSession();
+  for (uint64_t k = 0; k < 64; ++k) {
+    uint64_t a = 0;
+    uint64_t b = 0;
+    const Status sa = batched_store->Read(k, &a);
+    const Status sb = stepwise_store->Read(k, &b);
+    EXPECT_EQ(sa.code(), sb.code()) << "key " << k;
+    EXPECT_EQ(a, b) << "key " << k;
+  }
+  batched_store.reset();
+  stepwise_store.reset();
+  batched->Stop();
+  stepwise->Stop();
 }
 
 TEST(DFasterClusterTest, TcpTransportEndToEnd) {

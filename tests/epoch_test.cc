@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
+
 namespace dpr {
 namespace {
 
@@ -96,6 +98,42 @@ TEST(LightEpochTest, ManyThreadsManyBumps) {
   for (auto& t : threads) t.join();
   epoch.TryDrain();
   EXPECT_EQ(ran.load(), kThreads * kBumpsPerThread);
+}
+
+TEST(LightEpochTest, FullDrainListWaitsForLaggard) {
+  // Regression: a bump that found every drain slot pending aborted the
+  // process ("epoch drain list full"). This thread protects and stays put,
+  // so no action can run; another thread bumps once more than there are
+  // slots. The last bump must wait until the laggard refreshes.
+  LightEpoch epoch;
+  epoch.Protect();
+  const uint64_t start = epoch.current_epoch();
+  std::atomic<int> ran{0};
+  std::atomic<bool> done{false};
+  std::thread bumper([&] {
+    for (int i = 0; i <= LightEpoch::kDrainListSize; ++i) {
+      epoch.BumpEpoch([&] { ran.fetch_add(1); });
+    }
+    done.store(true);
+  });
+  // Once the epoch has moved kDrainListSize times every slot is taken and
+  // the last bump is waiting (or about to).
+  const Stopwatch timer;
+  while (epoch.current_epoch() < start + LightEpoch::kDrainListSize &&
+         timer.ElapsedMillis() < 10000) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(epoch.current_epoch(), start + LightEpoch::kDrainListSize);
+  SleepMicros(50000);
+  EXPECT_FALSE(done.load());
+  EXPECT_EQ(ran.load(), 0);
+  epoch.Refresh();
+  bumper.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(ran.load(), LightEpoch::kDrainListSize);
+  epoch.Refresh();  // the last bump's action waited on this thread too
+  EXPECT_EQ(ran.load(), LightEpoch::kDrainListSize + 1);
+  epoch.Unprotect();
 }
 
 TEST(LightEpochTest, SlotReleasedOnUnprotect) {

@@ -96,6 +96,22 @@ TEST(LogAllocatorTest, RestoreToPositionsTail) {
   EXPECT_NE(log.Resolve(9000), nullptr);
 }
 
+TEST(LogAllocatorTest, TryResolveReturnsNullForMissingPages) {
+  constexpr uint32_t kPageBits = 12;
+  constexpr uint64_t kPage = uint64_t{1} << kPageBits;
+  LogAllocator log(kPageBits);
+  EXPECT_EQ(log.TryResolve(LogAllocator::kBeginAddress), nullptr);
+  const LogAddress first = log.Allocate(64);
+  EXPECT_EQ(log.TryResolve(first), log.Resolve(first));
+  EXPECT_EQ(log.TryResolve(uint64_t{1} << 40), nullptr);  // beyond the log
+  while (log.tail() < 3 * kPage) log.Allocate(512);
+  log.ReleasePagesBelow(2 * kPage);
+  EXPECT_EQ(log.TryResolve(first), nullptr);
+  EXPECT_NE(log.TryResolve(2 * kPage + 64), nullptr);
+  log.Clear();
+  EXPECT_EQ(log.TryResolve(2 * kPage + 64), nullptr);
+}
+
 TEST(HashIndexTest, RoundsBucketsToPowerOfTwo) {
   HashIndex index(1000);
   EXPECT_EQ(index.bucket_count(), 1024u);

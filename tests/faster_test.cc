@@ -392,5 +392,79 @@ TEST(FasterStoreTest, PageSpanningAllocations) {
   }
 }
 
+// Prefetch hints run ahead of the ops of a batch (DFasterWorker::RunOps)
+// and can meet a head the op itself would never follow. None may abort.
+void PrefetchAll(FasterStore::Session* session, uint64_t keys) {
+  for (uint64_t k = 0; k < keys; ++k) {
+    session->PrefetchBucket(k);
+    session->PrefetchHead(k);
+  }
+}
+
+TEST(FasterStorePrefetchTest, EmptyIndex) {
+  auto store = NewStore();
+  auto session = store->NewSession();
+  PrefetchAll(session.get(), 1000);
+  uint64_t v = 0;
+  EXPECT_TRUE(session->Read(7, &v).IsNotFound());
+}
+
+TEST(FasterStorePrefetchTest, CrashedStoreAndClearedLog) {
+  // 16 buckets for 1000 keys: every head record hides a chain of others.
+  auto store = NewStore(16);
+  {
+    auto session = store->NewSession();
+    for (uint64_t k = 0; k < 1000; ++k) {
+      ASSERT_TRUE(session->Upsert(k, k).ok());
+    }
+    PrefetchAll(session.get(), 1000);
+  }
+  const Version token = Checkpoint(store.get());
+  store->SimulateCrash();  // the log is cleared before the index
+  {
+    auto session = store->NewSession();
+    PrefetchAll(session.get(), 1000);
+  }
+  Version restored = kInvalidVersion;
+  ASSERT_TRUE(store->RestoreCheckpoint(token, &restored).ok());
+  auto session = store->NewSession();
+  PrefetchAll(session.get(), 1000);
+  uint64_t v = 0;
+  ASSERT_TRUE(session->Read(999, &v).ok());
+  EXPECT_EQ(v, 999u);
+}
+
+TEST(FasterStorePrefetchTest, HeadBelowBeginAfterCompaction) {
+  // A deleted key's head is its tombstone, which compaction does not copy:
+  // once FinishCompaction moves begin past it, the head points below begin
+  // into a released page.
+  FasterOptions options;
+  options.index_buckets = 1 << 8;
+  options.page_bits = 12;  // 4 KiB pages: compaction releases many
+  options.log_device = std::make_unique<MemoryDevice>();
+  options.meta_device = std::make_unique<MemoryDevice>();
+  FasterStore store(std::move(options));
+  auto session = store.NewSession();
+  for (uint64_t round = 0; round < 20; ++round) {
+    for (uint64_t k = 0; k < 200; ++k) {
+      ASSERT_TRUE(session->Upsert(k, k + round).ok());
+    }
+    Checkpoint(&store);  // the next round copies instead of updating
+  }
+  for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(session->Delete(k).ok());
+  const Version safe = Checkpoint(&store);
+  Version compaction_token = kInvalidVersion;
+  ASSERT_TRUE(store.StartCompaction(safe, &compaction_token).ok());
+  ASSERT_TRUE(
+      store.FinishCompaction(compaction_token, compaction_token).ok());
+  session->Refresh();  // lets the page release run
+  EXPECT_GT(store.begin_address(), uint64_t{4} << 12);
+  PrefetchAll(session.get(), 200);
+  uint64_t v = 0;
+  EXPECT_TRUE(session->Read(7, &v).IsNotFound());
+  ASSERT_TRUE(session->Read(150, &v).ok());
+  EXPECT_EQ(v, 169u);
+}
+
 }  // namespace
 }  // namespace dpr

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "ckpt/cadence.h"
+#include "dfaster/worker.h"
 #include "dpr/dep_tracker.h"
 #include "dpr/session.h"
 #include "faster/faster_store.h"
@@ -589,6 +590,37 @@ TEST(CkptGaugeTest, CheckpointCountersTrackImagesAndBytes) {
   EXPECT_GE(snap.counters.at("ckpt.image_log_reads"), 8u);
   EXPECT_LE(snap.counters.at("ckpt.image_log_reads"), 16u);
   EXPECT_EQ(snap.histograms.at("faster.checkpoint.image_us").count(), 4u);
+  reg.ResetForTest();
+}
+
+TEST(StageMetricsTest, WorkerRecordsApplyTimeOncePerBatch) {
+  // dfaster.worker.apply_us is the "FASTER op" stage: one sample per batch
+  // a worker applies, whatever the batch holds.
+  auto& reg = MetricsRegistry::Default();
+  reg.ResetForTest();
+  DFasterWorkerConfig config;
+  config.mode = RecoverabilityMode::kNone;
+  DFasterWorker worker(std::move(config));
+  ASSERT_TRUE(worker.Start(nullptr).ok());
+  KvBatchRequest request;
+  for (uint64_t k = 0; k < 64; ++k) {
+    request.ops.push_back(KvOp{k % 2 == 0 ? KvOp::Type::kRmw
+                                          : KvOp::Type::kRead,
+                               k, 1});
+  }
+  constexpr int kBatches = 5;
+  for (int b = 0; b < kBatches; ++b) {
+    KvBatchResponse response;
+    worker.ExecuteBatch(request, &response);
+    ASSERT_EQ(response.results.size(), request.ops.size());
+  }
+  KvBatchResponse empty;
+  worker.ExecuteBatch(KvBatchRequest{}, &empty);
+  worker.Stop();
+  const MetricsSnapshot snap = reg.Snapshot();
+  ASSERT_EQ(snap.histograms.count("dfaster.worker.apply_us"), 1u);
+  EXPECT_EQ(snap.histograms.at("dfaster.worker.apply_us").count(),
+            static_cast<uint64_t>(kBatches + 1));
   reg.ResetForTest();
 }
 
